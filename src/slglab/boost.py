@@ -128,9 +128,9 @@ def alpha(g: SLG) -> BoostResult:
     )
 
 
-def bexp(g: SLG, index_set, x: Symbol) -> tuple[Symbol, ...]:
-    """Bounded expansion of `x`: expand until only terminals, dollars, and
-    the marker symbols of the chosen indices remain."""
+def _bexp_all(g: SLG, index_set):
+    """Validate an index set; return it with the canonical order and the
+    bounded expansion of every nonterminal, built bottom-up in one pass."""
     _require_admissible(g)
     order = canonical_order(g)
     nv = len(order)
@@ -140,27 +140,25 @@ def bexp(g: SLG, index_set, x: Symbol) -> tuple[Symbol, ...]:
             raise BoostError(f"index {i} out of range")
     table = g.table
     _require_marker_names_free(g, nv)
-    idx_of = {n: i for i, n in enumerate(order, start=1)}
-    memo: dict[Symbol, tuple[Symbol, ...]] = {}
-
-    def go(sym: Symbol) -> tuple[Symbol, ...]:
-        if sym.is_terminal():
-            return (sym,)
-        got = memo.get(sym)
-        if got is not None:
-            return got
-        i = idx_of[sym]
+    # The order is by nondecreasing expansion length, so both children of a
+    # rule precede it.
+    exps: dict[Symbol, tuple[Symbol, ...]] = {}
+    for i, n in enumerate(order, start=1):
         if i in index_set:
-            out: tuple[Symbol, ...] = (_marker(table, i),)
+            exps[n] = (_marker(table, i),)
         else:
-            a, b = g.rules[sym]
-            out = go(a) + (table.sentinel(D, i),) + go(b)
-        memo[sym] = out
-        return out
+            a, b = g.rules[n]
+            exps[n] = exps.get(a, (a,)) + (table.sentinel(D, i),) + exps.get(b, (b,))
+    return order, index_set, exps
 
-    if x.is_nonterminal() and x not in idx_of:
+
+def bexp(g: SLG, index_set, x: Symbol) -> tuple[Symbol, ...]:
+    """Bounded expansion of `x`: expand until only terminals, dollars, and
+    the marker symbols of the chosen indices remain."""
+    _, _, exps = _bexp_all(g, index_set)
+    if x.is_nonterminal() and x not in exps:
         raise BoostError(f"symbol not in grammar: {x.display}")
-    return go(x)
+    return exps.get(x, (x,))
 
 
 def _marker(table: SymbolTable, i: int) -> Symbol:
@@ -177,18 +175,12 @@ def _require_marker_names_free(g: SLG, nv: int) -> None:
 def build_gi(g: SLG, index_set) -> GIGrammar:
     """The intermediate grammar every global algorithm visits on an alpha
     string, for one subset of replaced indices."""
-    _require_admissible(g)
+    order, index_set, exps = _bexp_all(g, index_set)
     table = g.table
-    order = canonical_order(g)
-    nv = len(order)
-    index_set = frozenset(index_set)
-    for i in index_set:
-        if not 1 <= i <= nv:
-            raise BoostError(f"index {i} out of range")
     rules: dict[Symbol, tuple[Symbol, ...]] = {}
     body: list[Symbol] = []
     for i, n in enumerate(order, start=1):
-        be = bexp(g, index_set, n)
+        be = exps[n]
         body += be
         body.append(table.sentinel(H, 2 * i - 1))
         body += be
@@ -198,7 +190,7 @@ def build_gi(g: SLG, index_set) -> GIGrammar:
         n = order[i - 1]
         a, b = g.rules[n]
         rules[_marker(table, i)] = (
-            bexp(g, index_set, a) + (table.sentinel(D, i),) + bexp(g, index_set, b)
+            exps.get(a, (a,)) + (table.sentinel(D, i),) + exps.get(b, (b,))
         )
     return GIGrammar(index_set, SLG(rules, g.start, table))
 

@@ -1,8 +1,9 @@
 """General context-free grammars: membership and the language-preserving
 transformations that re-target a CFG at boosted strings.
 
-Membership runs CYK after normalization (binarize, remove epsilon and unit
-rules, isolate terminals).  The transformations are size-linear rewrites:
+Membership runs a bit-vector CYK recogniser after normalization (binarize,
+remove epsilon and unit rules, isolate terminals, number the nonterminals
+densely).  The transformations are size-linear rewrites:
 interposing a wildcard between symbols, prepending a fixed-length block, and
 closing the language under sentinel insertion.
 """
@@ -118,11 +119,18 @@ def parse_cfg(text: str, table: SymbolTable | None = None) -> CFG:
 
 
 class _Compiled:
-    __slots__ = ("unary", "binary_left", "nullable_start")
+    """Normal form of a CFG over dense nonterminal indices
+    `0..len(binary_left)-1`: every remaining rule is `A -> t` (in `unary`)
+    or `A -> X C` (in `binary_left`); epsilon and unit rules are gone, and
+    `nullable_start` records whether the empty string is in the language."""
 
-    def __init__(self, unary, binary_left, nullable_start):
-        self.unary = unary            # terminal id -> set of head ids
-        self.binary_left = binary_left  # left id -> list[(right id, head id)]
+    __slots__ = ("term_ids", "unary", "binary_left", "start", "nullable_start")
+
+    def __init__(self, term_ids, unary, binary_left, start, nullable_start):
+        self.term_ids = term_ids        # frozenset of terminal ids
+        self.unary = unary              # each terminal id -> tuple of head indices
+        self.binary_left = binary_left  # left index -> tuple of (right, head)
+        self.start = start              # start index, None if no rule mentions it
         self.nullable_start = nullable_start
 
 
@@ -138,7 +146,7 @@ def _compile(g: CFG) -> _Compiled:
 
     start = g.start.id
     rules: list[tuple[int, tuple[int, ...]]] = []
-    term_ids: set[int] = {t.id for t in g.terminals()}
+    term_ids: frozenset[int] = frozenset(t.id for t in g.terminals())
     for head, body in g.rules:
         rules.append((head.id, tuple(s.id for s in body)))
 
@@ -180,13 +188,13 @@ def _compile(g: CFG) -> _Compiled:
 
     # 4. unit closure
     unit: dict[int, set[int]] = {}
-    proper: set[tuple[int, tuple[int, ...]]] = set()
+    proper: dict[int, list[tuple[int, ...]]] = {}
     for head, body in stripped:
         if len(body) == 1 and body[0] not in term_ids:
             unit.setdefault(head, set()).add(body[0])
         else:
-            proper.add((head, body))
-    closure: dict[int, set[int]] = {}
+            proper.setdefault(head, []).append(body)
+    final = {(head, body) for head, bodies in proper.items() for body in bodies}
     for origin in unit:
         seen = set(unit[origin])
         queue = list(seen)
@@ -196,74 +204,98 @@ def _compile(g: CFG) -> _Compiled:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        closure[origin] = seen
-    final = set(proper)
-    for origin, targets in closure.items():
-        for t in targets:
-            for head, body in proper:
-                if head == t:
-                    final.add((origin, body))
+        for t in seen:
+            for body in proper.get(t, ()):
+                final.add((origin, body))
 
-    # 5. isolate terminals inside binary bodies
+    # 5. dense indices; isolate terminals inside binary bodies
+    index: dict[int, int] = {}
+
+    def dense(x: int) -> int:
+        return index.setdefault(x, len(index))
+
     preterm: dict[int, int] = {}
-    unary: dict[int, set[int]] = {}
+    unary: dict[int, list[int]] = {}
     binary_left: dict[int, list[tuple[int, int]]] = {}
 
     def pre(t: int) -> int:
         if t not in preterm:
-            h = fresh()
+            h = dense(fresh())
             preterm[t] = h
-            unary.setdefault(t, set()).add(h)
+            unary.setdefault(t, []).append(h)
         return preterm[t]
 
     for head, body in final:
+        h = dense(head)
         if len(body) == 1:
-            unary.setdefault(body[0], set()).add(head)
+            unary.setdefault(body[0], []).append(h)
         else:
             left, right = body
-            if left in term_ids:
-                left = pre(left)
-            if right in term_ids:
-                right = pre(right)
-            binary_left.setdefault(left, []).append((right, head))
+            left = pre(left) if left in term_ids else dense(left)
+            right = pre(right) if right in term_ids else dense(right)
+            binary_left.setdefault(left, []).append((right, h))
 
-    compiled = _Compiled(unary, binary_left, start in nullable or s0 in nullable)
+    compiled = _Compiled(
+        term_ids,
+        {t: tuple(unary.get(t, ())) for t in term_ids},
+        tuple(tuple(binary_left.get(x, ())) for x in range(len(index))),
+        index.get(start),
+        start in nullable or s0 in nullable,
+    )
     g._compiled.append(compiled)
     return compiled
 
 
 def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
-    """Whether `u` belongs to the grammar's language."""
+    """Whether `u` belongs to the grammar's language.
+
+    Row-wise bit-vector recognition (Graham, Harrison and Ruzzo, ACM TOPLAS
+    1980): start positions run from right to left, and `rows[i][X]` has bit
+    `j` set when X derives `u[i..j]`.  Each derived item `(X, k)` of row `i`
+    meets the complete row `k + 1` once per rule `A -> X C`, in one big-int
+    operation, and each newly set bit becomes an item, so every `(A, i, j)`
+    is derived once and the cost follows the derived items, not `n^3`."""
     u = tuple(u)
     if len(u) > length_cap:
         raise CfgError(f"input length {len(u)} exceeds the cap {length_cap}")
-    terms = g.terminals()
-    for s in u:
-        if s not in terms:
-            raise CfgError(f"symbol {s.display} not in the terminal set")
     comp = _compile(g)
+    term_ids = comp.term_ids
+    for s in u:
+        if s.id not in term_ids:
+            raise CfgError(f"symbol {s.display} not in the terminal set")
     n = len(u)
     if n == 0:
         return comp.nullable_start
-    start = g.start.id
-    # cell[i][j] = heads deriving u[i..i+j]
-    cells: list[list[set[int]]] = [[set() for _ in range(n - i)] for i in range(n)]
-    for i, s in enumerate(u):
-        cells[i][0] = set(comp.unary.get(s.id, ()))
+    if comp.start is None:
+        return False
+    unary = comp.unary
     bleft = comp.binary_left
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            acc = cells[i][span - 1]
-            for k in range(1, span):
-                left_cell = cells[i][k - 1]
-                right_cell = cells[i + k][span - k - 1]
-                if not left_cell or not right_cell:
+    m = len(bleft)
+    # rows[n] stays all zero; every other row is replaced before it is read
+    rows = [[0] * m] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        row = [0] * m
+        bit = 1 << i
+        work = []
+        for h in unary[u[i].id]:
+            row[h] = bit
+            work.append((h, i))
+        while work:
+            x, k = work.pop()
+            nxt = rows[k + 1]
+            for right, head in bleft[x]:
+                c = nxt[right]
+                if not c:
                     continue
-                for l in left_cell:
-                    for right, head in bleft.get(l, ()):
-                        if right in right_cell:
-                            acc.add(head)
-    return start in cells[0][n - 1]
+                new = c & ~row[head]
+                if new:
+                    row[head] |= new
+                    while new:
+                        low = new & -new
+                        work.append((head, low.bit_length() - 1))
+                        new ^= low
+        rows[i] = row
+    return bool(rows[0][comp.start] >> (n - 1) & 1)
 
 
 # -- transformations ----------------------------------------------------------

@@ -295,18 +295,20 @@ class _OnlineGrammar:
 
     def find_repeated_digram(self) -> tuple[Symbol, Symbol] | None:
         """First digram (in scan order) with two non-overlapping occurrences."""
-        counts: dict[tuple[Symbol, Symbol], int] = {}
-        last: dict[tuple[Symbol, Symbol], tuple[int, int]] = {}
+        # Keyed by ids: hashing an int pair is much cheaper than hashing Symbols.
+        counts: dict[tuple[int, int], int] = {}
+        last: dict[tuple[int, int], tuple[int, int]] = {}
         for ridx, body in enumerate(self.all_bodies()):
-            for i in range(len(body) - 1):
-                d = (body[i], body[i + 1])
+            ids = [s.id for s in body]
+            for i in range(len(ids) - 1):
+                d = (ids[i], ids[i + 1])
                 prev = last.get(d)
                 if prev is not None and prev[0] == ridx and i < prev[1] + 2:
                     continue  # overlaps the occurrence already counted
                 last[d] = (ridx, i)
                 counts[d] = counts.get(d, 0) + 1
                 if counts[d] == 2:
-                    return d
+                    return body[i], body[i + 1]
         return None
 
     def replace_digram(self, d: tuple[Symbol, Symbol], new: Symbol) -> None:
@@ -324,22 +326,23 @@ class _OnlineGrammar:
                 for i in _replace_all([s.id for s in body], pat, new.id)
             ]
 
-    def use_counts(self) -> dict[Symbol, int]:
-        counts = {head: 0 for head in self.sec}
+    def use_counts(self) -> dict[int, int]:
+        """Uses of each secondary rule, keyed by head id."""
+        counts = {head.id: 0 for head in self.sec}
         for body in self.all_bodies():
             for s in body:
-                if s in counts:
-                    counts[s] += 1
+                if s.id in counts:
+                    counts[s.id] += 1
         return counts
 
     def inline_single_uses(self) -> bool:
         """Inline one single-use secondary (drop zero-use ones); True if any."""
         counts = self.use_counts()
         for head in list(self.sec):
-            if counts.get(head, 0) == 0:
+            if counts[head.id] == 0:
                 del self.sec[head]
                 return True
-            if counts.get(head) == 1:
+            if counts[head.id] == 1:
                 definition = self.sec.pop(head)
                 for body in self.all_bodies():
                     for i, s in enumerate(body):

@@ -114,6 +114,43 @@ def wrna_table_py(seq, match_of, w_of):
     return dp
 
 
+def cyk_member_table(g, u, length_cap=5000):
+    """Table CYK over the compiled normal form: every cell of every span,
+    every split point.  The cubic oracle for the bit-vector recogniser."""
+    from slglab.cfg import CfgError, _compile
+
+    u = tuple(u)
+    if len(u) > length_cap:
+        raise CfgError(f"input length {len(u)} exceeds the cap {length_cap}")
+    terms = g.terminals()
+    for s in u:
+        if s not in terms:
+            raise CfgError(f"symbol {s.display} not in the terminal set")
+    comp = _compile(g)
+    n = len(u)
+    if n == 0:
+        return comp.nullable_start
+    start = comp.start
+    # cell[i][j] = heads deriving u[i..i+j]
+    cells = [[set() for _ in range(n - i)] for i in range(n)]
+    for i, s in enumerate(u):
+        cells[i][0] = set(comp.unary.get(s.id, ()))
+    bleft = comp.binary_left
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            acc = cells[i][span - 1]
+            for k in range(1, span):
+                left_cell = cells[i][k - 1]
+                right_cell = cells[i + k][span - k - 1]
+                if not left_cell or not right_cell:
+                    continue
+                for l in left_cell:
+                    for right, head in bleft[l]:
+                        if right in right_cell:
+                            acc.add(head)
+    return start in cells[0][n - 1]
+
+
 def cfg_language_upto(g, max_len, budget=400_000):
     """All members of L(g) up to the length bound, by pruned breadth-first
     derivation search (an oracle independent of the CYK tables)."""

@@ -2,6 +2,7 @@
 grammar family, answer strings, and the run-length predecessor string."""
 import math
 import random
+import sys
 
 import pytest
 
@@ -39,7 +40,7 @@ from slglab.generate import (
     random_run_length_profile,
 )
 from slglab.rna import wrna
-from slglab.symbols import SymbolTable
+from slglab.symbols import SentinelFamily, SymbolTable
 
 
 def _unit_alphabet(table):
@@ -127,6 +128,33 @@ def test_bexp_examples(table, g0):
     assert [x.display for x in bexp(g0, frozenset({1, 2}), s)] == ["M2"]
     got = " ".join(x.display for x in bexp(g0, frozenset({1}), s))
     assert got == "M1 $_2 M1"
+
+
+def test_bexp_and_build_gi_on_a_chain_deeper_than_the_recursion_limit(table):
+    a, b = table.terminal("a"), table.terminal("b")
+    height, cut = 1500, 1200
+    assert cut - 1 > sys.getrecursionlimit()
+    ns = [table.nonterminal(f"N{k}") for k in range(1, height + 1)]
+    rules = {ns[0]: (a, b)}
+    for k in range(1, height):
+        rules[ns[k]] = (ns[k - 1], a)
+    g = SLG(rules, ns[-1], table)
+    # N_k expands to k + 1 symbols, so it is the k-th in canonical order
+    dollar = [None] + [table.sentinel(SentinelFamily.DOLLAR, k) for k in range(1, height + 1)]
+    tail = [x for k in range(2, height + 1) for x in (dollar[k], a)]
+    assert bexp(g, frozenset(), ns[-1]) == (a, dollar[1], b, *tail)
+    # only N_cut is marked, so N_1 .. N_(cut-1) stay a plain chain below it
+    gi = build_gi(g, frozenset({cut}))
+    marker = table.get(f"M{cut}")
+    assert gi.grammar.rules[marker] == (a, dollar[1], b, *tail[: 2 * (cut - 2)], dollar[cut], a)
+    top = (marker, *tail[2 * (cut - 1) :])
+    hashes = [table.sentinel(SentinelFamily.HASH, i) for i in (2 * height - 1, 2 * height)]
+    body = gi.grammar.rules[g.start]
+    assert body[-2 * len(top) - 2 :] == (*top, hashes[0], *top, hashes[1])
+    # block k holds two copies of bexp(N_k): 2k + 1 symbols below the cut,
+    # 2(k - cut) + 1 from the cut up
+    blocks = [2 * k + 1 if k < cut else 2 * (k - cut) + 1 for k in range(1, height + 1)]
+    assert len(body) == sum(2 * x + 2 for x in blocks)
 
 
 def test_bexp_index_out_of_range(table, g0):

@@ -20,10 +20,11 @@ from slglab import (
     serialize_cfg,
 )
 from slglab.boost import alpha_sentinel_counts, beta_sentinel_counts
+from slglab.cfg import _compile
 from slglab.generate import random_admissible_slg
 from slglab.symbols import SentinelFamily, SymbolTable
 
-from conftest import all_strings_upto, cfg_language_upto
+from conftest import all_strings_upto, cfg_language_upto, cyk_member_table
 
 
 def _cfg(table, text):
@@ -45,18 +46,55 @@ def test_cyk_epsilon_language(table):
     assert cyk_member(g, (a, a, a))
 
 
+def test_cyk_empty_and_dead_starts(table):
+    # nullable start whose only other body never terminates
+    g = _cfg(table, "S -> _ | A\nA -> A a\n")
+    a = table.terminal("a")
+    assert cyk_member(g, ())
+    assert not cyk_member(g, (a,))
+    # a start with no nonempty rule keeps no index in the normal form
+    eps = _cfg(table, "E -> _\nB -> a\n")
+    assert _compile(eps).start is None
+    assert cyk_member(eps, ()) and cyk_member_table(eps, ())
+    assert not cyk_member(eps, (a,)) and not cyk_member_table(eps, (a,))
+    # a start that derives nothing at all
+    dead = _cfg(table, "T -> T a | a T\n")
+    for w in ((), (a,), (a, a), (a,) * 7):
+        assert not cyk_member(dead, w)
+        assert not cyk_member_table(dead, w)
+
+
 def test_cyk_rejects_foreign_symbols(table):
     g = _cfg(table, "S -> a\n")
     z = table.terminal("z")
-    with pytest.raises(CfgError, match="not in the terminal set"):
+    with pytest.raises(CfgError, match="^symbol z not in the terminal set$"):
         cyk_member(g, (z,))
+    # a nonterminal of the grammar is not a terminal either
+    with pytest.raises(CfgError, match="^symbol S not in the terminal set$"):
+        cyk_member(g, (table.terminal("a"), g.start))
 
 
 def test_cyk_length_cap(table):
     g = _cfg(table, "S -> a\n")
     a = table.terminal("a")
-    with pytest.raises(CfgError, match="exceeds the cap"):
+    with pytest.raises(CfgError, match="^input length 10 exceeds the cap 5$"):
         cyk_member(g, (a,) * 10, length_cap=5)
+    assert not cyk_member(g, (a,) * 5, length_cap=5)
+
+
+def test_cyk_compiles_once_per_grammar(table):
+    g = _cfg(table, "S -> A B | _\nA -> a | a A\nB -> b\n")
+    a, b = table.terminal("a"), table.terminal("b")
+    for w in ((), (a, b), (a, a, b), (b, a)):
+        cyk_member(g, w)
+    assert len(g._compiled) == 1
+    comp = _compile(g)
+    assert comp is g._compiled[0]
+    m = len(comp.binary_left)
+    assert 0 <= comp.start < m
+    heads = [h for hs in comp.unary.values() for h in hs]
+    pairs = [x for rules in comp.binary_left for pair in rules for x in pair]
+    assert all(0 <= x < m for x in heads + pairs)
 
 
 def test_cfg_text_roundtrip(table):
@@ -82,18 +120,28 @@ def _random_cfg(rng, table, terminals):
 
 
 def test_cyk_agrees_with_derivation_search():
+    """The recogniser, the table CYK and derivation search agree on every
+    string up to length 6, over grammars with epsilon bodies, unit rules
+    and bodies of length 3."""
     rng = random.Random(89)
     checked = 0
+    shapes = set()
     for _ in range(100):
         t = SymbolTable()
         terminals = [t.terminal(c) for c in "ab"]
         g = _random_cfg(rng, t, terminals)
+        for _, body in g.rules:
+            if len(body) != 1:
+                shapes.add(len(body))
+            elif body[0].is_nonterminal():
+                shapes.add("unit")
         used = sorted(g.terminals(), key=lambda s: s.id)
         members = cfg_language_upto(g, 6)
         for w in all_strings_upto(used, 6):
-            assert cyk_member(g, w) == (w in members)
+            assert cyk_member(g, w) == cyk_member_table(g, w) == (w in members)
             checked += 1
     assert checked > 5000
+    assert {0, "unit", 3} <= shapes
 
 
 def test_interleave_examples(table):
@@ -219,6 +267,29 @@ def test_retarget_beta_g0(table, g0):
     # a grammar accepting nothing of the right shape keeps rejecting
     no = gamma_prime_beta(_exact_cfg(table, tuple(reversed(u))), g0)
     assert not cyk_member(no, w) or u == tuple(reversed(u))
+
+
+def test_cyk_matches_table_on_boosted_strings():
+    """Re-targeted CFGs on alpha and beta strings of 100 to 220 symbols,
+    for the exact source CFG (accepted) and a one-symbol mutant (rejected)."""
+    rng = random.Random(211)
+    done = 0
+    while done < 2:
+        t = SymbolTable()
+        g = random_admissible_slg(rng, rng.randint(3, 6), 2, 60, t)
+        wa, wb = alpha(g).text, beta(g).text
+        if not (100 <= len(wa) <= 220 and 100 <= len(wb) <= 220):
+            continue
+        done += 1
+        u = expand(g, g.start)
+        mutant = list(u)
+        i = rng.randrange(len(u))
+        mutant[i] = next(x for x in sorted(g.terminals(), key=lambda s: s.id) if x != u[i])
+        for source, want in ((u, True), (mutant, False)):
+            cfg_in = _exact_cfg(t, source)
+            for retarget, w in ((gamma_prime_alpha, wa), (gamma_prime_beta, wb)):
+                out = retarget(cfg_in, g)
+                assert cyk_member(out, w) == cyk_member_table(out, w) == want
 
 
 def test_retarget_iff_random():
