@@ -33,18 +33,29 @@ class BoostError(ValueError):
 class BoostResult:
     """Boosted string plus the scaffolding needed to audit it.
 
-    `offset` carries the stride offset for the alpha family and the folding
-    constant for the gamma construction; the beta family instead fills
-    `position_map` (nonterminal index -> 1-based positions of its expansion
-    symbols inside `text`).  `alphabet` is the enlarged plain symbol set, or
-    the extended matched alphabet for the folding constructions.
+    `ordering` is the canonical order of the input's nonterminals (index i
+    names `ordering[i - 1]`) and `aux_grammar` the grammar whose expansions
+    `text` is laid out from.  The other fields depend on the booster:
+
+    - `alpha`: `offset` is the stride offset delta, so the j-th symbol of
+      the input's text sits at 1-based position delta + 2j - 1 of `text`;
+      `alphabet` is the tuple of the input's terminals, then $_1..$_|V| and
+      #_1..#_2|V|.
+    - `beta`: `offset` is None; `position_map[i]` holds the 1-based positions
+      in `text` of the symbols of exp(N_i) in the first copy of block i;
+      `alphabet` is the tuple of the input's terminals, then $_1..$_2|V|.
+    - `rna_alpha` and `rna_beta`: `offset` is delta, the folding value of
+      `text` minus twice (four times for `rna_beta`) the input's.
+    - `gamma`: `offset` is c0, half the folding value of `text` minus the
+      input's.
+    - The three folding boosters set `alphabet` to the input's matched
+      alphabet extended by the dollar and hash sentinels of `text`.
     """
 
     text: tuple[Symbol, ...]
     ordering: tuple[Symbol, ...]
     offset: int | None
     aux_grammar: SLG
-    aux_grammar2: SLG | None = None
     position_map: dict[int, tuple[int, ...]] | None = None
     alphabet: object | None = None
 
@@ -88,10 +99,10 @@ def _require_fresh_sentinels(g: SLG, families) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Alpha: doubled sentinel-interleaved expansions
+# The shared layout: sentinel grammars, doubled blocks and their mirror
 
 
-def _dollar_grammar(g: SLG, order, table: SymbolTable) -> SLG:
+def _sentinel_grammar(g: SLG, order, table: SymbolTable) -> SLG:
     """The auxiliary grammar with one unique dollar inside each definition."""
     rules: dict[Symbol, tuple[Symbol, ...]] = {}
     for i, n in enumerate(order, start=1):
@@ -100,20 +111,49 @@ def _dollar_grammar(g: SLG, order, table: SymbolTable) -> SLG:
     return SLG(rules, g.start, table)
 
 
+def _doubled(exps, order, table: SymbolTable, fam, indices, mirrored=False):
+    """The blocks e fam_{2i-1} e fam_{2i} of e = exps[order[i - 1]], or
+    fam_{2i} e fam_{2i-1} e when `mirrored`, for each i in `indices`."""
+    w: list[Symbol] = []
+    for i in indices:
+        e = exps[order[i - 1]]
+        odd, even = table.sentinel(fam, 2 * i - 1), table.sentinel(fam, 2 * i)
+        if mirrored:
+            w.append(even)
+            w += e
+            w.append(odd)
+            w += e
+        else:
+            w += e
+            w.append(odd)
+            w += e
+            w.append(even)
+    return w
+
+
+def _mirrored(gp: SLG, match) -> SLG:
+    """`gp` with every body reversed and every terminal replaced by its
+    match, so each nonterminal expands to the matched reverse of its
+    expansion in `gp`."""
+    rules = {
+        head: tuple(match.get(s, s) for s in reversed(body))
+        for head, body in gp.rules.items()
+    }
+    return SLG(rules, gp.start, gp.table)
+
+
+# ---------------------------------------------------------------------------
+# Alpha: doubled sentinel-interleaved expansions
+
+
 def alpha(g: SLG) -> BoostResult:
     _require_admissible(g)
     _require_fresh_sentinels(g, [D, H])
     table = g.table
     order = canonical_order(g)
     nv = len(order)
-    gp = _dollar_grammar(g, order, table)
-    exp = expand_all(gp)
-    w: list[Symbol] = []
-    for i, n in enumerate(order, start=1):
-        w += exp[n]
-        w.append(table.sentinel(H, 2 * i - 1))
-        w += exp[n]
-        w.append(table.sentinel(H, 2 * i))
+    gp = _sentinel_grammar(g, order, table)
+    w = _doubled(expand_all(gp), order, table, H, range(1, nv + 1))
     u_len = g.expansion_lengths()[g.start]
     delta = len(w) - 4 * u_len
     sigma = tuple(sorted(g.terminals(), key=lambda s: s.id)) + tuple(
@@ -177,15 +217,7 @@ def build_gi(g: SLG, index_set) -> GIGrammar:
     string, for one subset of replaced indices."""
     order, index_set, exps = _bexp_all(g, index_set)
     table = g.table
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    body: list[Symbol] = []
-    for i, n in enumerate(order, start=1):
-        be = exps[n]
-        body += be
-        body.append(table.sentinel(H, 2 * i - 1))
-        body += be
-        body.append(table.sentinel(H, 2 * i))
-    rules[g.start] = tuple(body)
+    rules = {g.start: tuple(_doubled(exps, order, table, H, range(1, len(order) + 1)))}
     for i in sorted(index_set):
         n = order[i - 1]
         a, b = g.rules[n]
@@ -267,12 +299,43 @@ def beta(g: SLG) -> BoostResult:
 # Folding-weighted boosters
 
 
-def _check_matched(g: SLG, a: MatchedAlphabet) -> None:
+def _folding_order(g: SLG, a: MatchedAlphabet, families) -> tuple[Symbol, ...]:
+    """The checks the folding boosters share; returns the canonical order."""
+    _require_admissible(g)
     if not a.covers(g.terminals()):
         raise BoostError("matched alphabet does not cover the grammar terminals")
-    for s in a.symbols:
-        if a.weight[s] < 1:
-            raise BoostError("weights must be positive")
+    if any(a.weight[s] < 1 for s in a.symbols):
+        raise BoostError("weights must be positive")
+    _require_fresh_sentinels(g, families)
+    order = canonical_order(g)
+    if order[-1] != g.start:
+        raise BoostError("start must be the unique longest nonterminal")
+    return order
+
+
+def _extend(a: MatchedAlphabet, table: SymbolTable, dollars: int, rows, pairs):
+    """`a` plus $_1, $'_1, ..., $_k, $'_k for k = `dollars` ($_i ~ $'_i, of
+    weight one), then the hash sentinels of `rows` row by row, matched and
+    weighted by `pairs` of (symbol, partner, weight)."""
+    dollar_pairs = [
+        (table.sentinel(D, i), table.sentinel(DP, i), 1) for i in range(1, dollars + 1)
+    ]
+    match: dict[Symbol, Symbol] = {}
+    weight: dict[Symbol, int] = {}
+    for s, t, w in dollar_pairs + pairs:
+        match[s], match[t] = t, s
+        weight[s] = weight[t] = w
+    symbols = [s for d, dp, _ in dollar_pairs for s in (d, dp)]
+    symbols += [s for row in rows for s in row]
+    return a.extended(symbols, match, weight)
+
+
+def _hash_pairs(rows, weight: int):
+    """Match pairs of per-index hash rows: the k-th sentinel of a row with
+    its k-th from the end, except in the last two rows, which are matched
+    with each other position by position."""
+    pairs = [(r[k], r[-1 - k], weight) for r in rows[:-2] for k in range(len(r) // 2)]
+    return pairs + [(s, t, weight) for s, t in zip(*rows[-2:])]
 
 
 def _q_values(g: SLG, a: MatchedAlphabet):
@@ -284,85 +347,31 @@ def _q_values(g: SLG, a: MatchedAlphabet):
         for s in g.rules[head]:
             t += wsum[s] if s.is_nonterminal() else a.weight[s]
         wsum[head] = t
-    return {n: lens[n] - 1 + wsum[n] for n in g.rules}, wsum
-
-
-def _matched_rule(g: SLG, a: MatchedAlphabet, n: Symbol):
-    x, y = g.rules[n]
-    mx = a.match[x] if x.is_terminal() else x
-    my = a.match[y] if y.is_terminal() else y
-    return mx, my
+    return {n: lens[n] - 1 + wsum[n] for n in g.rules}
 
 
 def rna_alpha(g: SLG, a: MatchedAlphabet) -> BoostResult:
     """Mirrored-and-matched alpha booster: the folding value of the output
     equals twice the input's plus a closed-form offset."""
-    _require_admissible(g)
-    _check_matched(g, a)
-    _require_fresh_sentinels(g, [D, DP, H, HP])
+    order = _folding_order(g, a, [D, DP, H, HP])
     table = g.table
-    order = canonical_order(g)
     nv = len(order)
-    if order[-1] != g.start:
-        raise BoostError("start must be the unique longest nonterminal")
-
-    gauxr: dict[Symbol, tuple[Symbol, ...]] = {}
-    gpauxr: dict[Symbol, tuple[Symbol, ...]] = {}
-    for i, n in enumerate(order, start=1):
-        x, y = g.rules[n]
-        mx, my = _matched_rule(g, a, n)
-        gauxr[n] = (x, table.sentinel(D, i), y)
-        gpauxr[n] = (my, table.sentinel(DP, i), mx)
-    gaux = SLG(gauxr, g.start, table)
-    gpaux = SLG(gpauxr, g.start, table)
-    expa = expand_all(gaux)
-    expp = expand_all(gpaux)
-
-    v: list[Symbol] = []
-    for i in range(nv, 0, -1):
-        n = order[i - 1]
-        v.append(table.sentinel(HP, 2 * i))
-        v += expp[n]
-        v.append(table.sentinel(HP, 2 * i - 1))
-        v += expp[n]
-    for i, n in enumerate(order, start=1):
-        v += expa[n]
-        v.append(table.sentinel(H, 2 * i - 1))
-        v += expa[n]
-        v.append(table.sentinel(H, 2 * i))
-
-    q, wsum = _q_values(g, a)
+    q = _q_values(g, a)
     qs = q[g.start]
-    delta = 2 * nv * (2 * qs + 1) + qs + 2 * sum(
-        q[n] for n in order if n != g.start
-    )
-    hash_weight = 2 * qs + 1
+    delta = 2 * nv * (2 * qs + 1) + qs + 2 * sum(q[n] for n in order[:-1])
+    rows = [(table.sentinel(H, i), table.sentinel(HP, i)) for i in range(1, 2 * nv + 1)]
+    extended = _extend(a, table, nv, rows, _hash_pairs(rows, 2 * qs + 1))
 
-    new_syms, new_match, new_weight = [], {}, {}
-    for i in range(1, nv + 1):
-        di, dpi = table.sentinel(D, i), table.sentinel(DP, i)
-        new_syms += [di, dpi]
-        new_match[di], new_match[dpi] = dpi, di
-        new_weight[di] = new_weight[dpi] = 1
-    for i in range(1, 2 * nv + 1):
-        hi, hpi = table.sentinel(H, i), table.sentinel(HP, i)
-        new_syms += [hi, hpi]
-        new_weight[hi] = new_weight[hpi] = hash_weight
-    for i in range(1, 2 * nv - 1):
-        hi, hpi = table.sentinel(H, i), table.sentinel(HP, i)
-        new_match[hi], new_match[hpi] = hpi, hi
-    h_a, h_b = table.sentinel(H, 2 * nv - 1), table.sentinel(H, 2 * nv)
-    hp_a, hp_b = table.sentinel(HP, 2 * nv - 1), table.sentinel(HP, 2 * nv)
-    new_match[h_a], new_match[h_b] = h_b, h_a
-    new_match[hp_a], new_match[hp_b] = hp_b, hp_a
-    extended = a.extended(new_syms, new_match, new_weight)
-
+    gaux = _sentinel_grammar(g, order, table)
+    expa = expand_all(gaux)
+    expp = expand_all(_mirrored(gaux, extended.match))
+    v = _doubled(expp, order, table, HP, range(nv, 0, -1), mirrored=True)
+    v += _doubled(expa, order, table, H, range(1, nv + 1))
     return BoostResult(
         text=tuple(v),
         ordering=order,
         offset=delta,
         aux_grammar=gaux,
-        aux_grammar2=gpaux,
         alphabet=extended,
     )
 
@@ -370,86 +379,31 @@ def rna_alpha(g: SLG, a: MatchedAlphabet) -> BoostResult:
 def rna_beta(g: SLG, a: MatchedAlphabet) -> BoostResult:
     """Four-quarter booster targeted at the online parser; the folding value
     equals four times the input's plus a closed-form offset."""
-    _require_admissible(g)
-    _check_matched(g, a)
-    _require_fresh_sentinels(g, [D, DP, HL, HR, HPL, HPR])
+    order = _folding_order(g, a, [D, DP, HL, HR, HPL, HPR])
     table = g.table
-    order = canonical_order(g)
     nv = len(order)
-    if order[-1] != g.start:
-        raise BoostError("start must be the unique longest nonterminal")
-
-    gauxr: dict[Symbol, tuple[Symbol, ...]] = {}
-    gpauxr: dict[Symbol, tuple[Symbol, ...]] = {}
-    for i, n in enumerate(order, start=1):
-        x, y = g.rules[n]
-        mx, my = _matched_rule(g, a, n)
-        gauxr[n] = (x, table.sentinel(D, i), y)
-        gpauxr[n] = (my, table.sentinel(DP, i), mx)
-    gaux = SLG(gauxr, g.start, table)
-    gpaux = SLG(gpauxr, g.start, table)
-    expa = expand_all(gaux)
-    expp = expand_all(gpaux)
-
-    v: list[Symbol] = []
-    for i, n in enumerate(order, start=1):  # left quarter
-        v += expa[n]
-        v.append(table.sentinel(HL, 2 * i - 1))
-        v += expa[n]
-        v.append(table.sentinel(HL, 2 * i))
-    for i in range(nv, 0, -1):  # right quarter
-        n = order[i - 1]
-        v += expa[n]
-        v.append(table.sentinel(HR, 2 * i - 1))
-        v += expa[n]
-        v.append(table.sentinel(HR, 2 * i))
-    for i, n in enumerate(order, start=1):  # mirrored left quarter
-        v.append(table.sentinel(HPL, 2 * i))
-        v += expp[n]
-        v.append(table.sentinel(HPL, 2 * i - 1))
-        v += expp[n]
-    for i in range(nv, 0, -1):  # mirrored right quarter
-        n = order[i - 1]
-        v.append(table.sentinel(HPR, 2 * i))
-        v += expp[n]
-        v.append(table.sentinel(HPR, 2 * i - 1))
-        v += expp[n]
-
-    q, _ = _q_values(g, a)
+    q = _q_values(g, a)
     qs = q[g.start]
-    delta = 4 * nv * (4 * qs + 1) + 2 * qs + 4 * sum(
-        q[n] for n in order if n != g.start
-    )
-    hash_weight = 4 * qs + 1
+    delta = 4 * nv * (4 * qs + 1) + 2 * qs + 4 * sum(q[n] for n in order[:-1])
+    rows = [
+        tuple(table.sentinel(f, i) for f in (HL, HR, HPL, HPR))
+        for i in range(1, 2 * nv + 1)
+    ]
+    extended = _extend(a, table, nv, rows, _hash_pairs(rows, 4 * qs + 1))
 
-    new_syms, new_match, new_weight = [], {}, {}
-    for i in range(1, nv + 1):
-        di, dpi = table.sentinel(D, i), table.sentinel(DP, i)
-        new_syms += [di, dpi]
-        new_match[di], new_match[dpi] = dpi, di
-        new_weight[di] = new_weight[dpi] = 1
-    fams = (HL, HR, HPL, HPR)
-    for i in range(1, 2 * nv + 1):
-        quartet = [table.sentinel(f, i) for f in fams]
-        new_syms += quartet
-        for s in quartet:
-            new_weight[s] = hash_weight
-    for i in range(1, 2 * nv - 1):
-        li, ri = table.sentinel(HL, i), table.sentinel(HR, i)
-        pli, pri = table.sentinel(HPL, i), table.sentinel(HPR, i)
-        new_match[li], new_match[pri] = pri, li
-        new_match[ri], new_match[pli] = pli, ri
-    for fam in fams:
-        s1, s2 = table.sentinel(fam, 2 * nv - 1), table.sentinel(fam, 2 * nv)
-        new_match[s1], new_match[s2] = s2, s1
-    extended = a.extended(new_syms, new_match, new_weight)
-
+    gaux = _sentinel_grammar(g, order, table)
+    expa = expand_all(gaux)
+    expp = expand_all(_mirrored(gaux, extended.match))
+    forward, backward = range(1, nv + 1), range(nv, 0, -1)
+    v = _doubled(expa, order, table, HL, forward)
+    v += _doubled(expa, order, table, HR, backward)
+    v += _doubled(expp, order, table, HPL, forward, mirrored=True)
+    v += _doubled(expp, order, table, HPR, backward, mirrored=True)
     return BoostResult(
         text=tuple(v),
         ordering=order,
         offset=delta,
         aux_grammar=gaux,
-        aux_grammar2=gpaux,
         alphabet=extended,
     )
 
@@ -457,83 +411,37 @@ def rna_beta(g: SLG, a: MatchedAlphabet) -> BoostResult:
 def gamma(g: SLG, a: MatchedAlphabet) -> BoostResult:
     """Doubled-block booster aimed at the two-part dictionary parser; the
     folding value of the output is the input's plus twice the block weight."""
-    _require_admissible(g)
-    _check_matched(g, a)
-    _require_fresh_sentinels(g, [D, DP, H])
-    table = g.table
-    order = canonical_order(g)
+    order = _folding_order(g, a, [D, DP, H])
     nv = len(order)
     if nv < 2:
         raise BoostError("construction needs at least two nonterminals")
-    if order[-1] != g.start:
-        raise BoostError("start must be the unique longest nonterminal")
-    idx_of = {n: i for i, n in enumerate(order, start=1)}
+    table = g.table
+    # c0 = 1 + twice the weight of one x_i block over i < |V|, where dollars
+    # weigh one.  x_i holds the |exp(N_i)| letters of N_i and two dollars for
+    # each of its |exp(N_i)| - 1 internal parse-tree nodes, so its weight is
+    # q + |exp(N_i)| - 1; computed from the q values, never from the text.
+    q = _q_values(g, a)
+    lens = g.expansion_lengths()
+    c0 = 1 + sum(2 * (q[n] + lens[n] - 1) for n in order[:-1])
+    h1, h2, h3, h4 = (table.sentinel(H, i) for i in range(1, 5))
+    extended = _extend(a, table, 2 * nv, [(h1, h2, h3, h4)], [(h1, h4, 1), (h2, h3, c0)])
 
     gp, n0 = _beta_grammar(g, order, table)
-
-    # The mirrored grammar: reversed, matched copies of the triple rules.
-    m0 = [table.fresh_nonterminal("P") for _ in range(nv)]
-    m1 = [table.fresh_nonterminal("P") for _ in range(nv)]
-    m2 = [table.fresh_nonterminal("P") for _ in range(nv)]
-    rules2: dict[Symbol, tuple[Symbol, ...]] = {}
-
-    def mref(sym: Symbol) -> Symbol:
-        return m0[idx_of[sym] - 1] if sym.is_nonterminal() else a.match[sym]
-
-    for i, n in enumerate(order, start=1):
-        x, y = g.rules[n]
-        rules2[m1[i - 1]] = (table.sentinel(DP, 2 * i - 1), mref(x))
-        rules2[m2[i - 1]] = (table.sentinel(DP, 2 * i), mref(y))
-        rules2[m0[i - 1]] = (m2[i - 1], m1[i - 1])
-    sp2 = table.fresh_nonterminal("P")
-    rules2[sp2] = tuple(s for i in range(nv) for s in (m2[i], m1[i], m0[i]))
-    gpp = SLG(rules2, sp2, table)
-
-    _fx = expand_all(gp)
-    _fy = expand_all(gpp)
-    x_exp = {i: _fx[n0[i - 1]] for i in range(1, nv + 1)}
-    y_exp = {i: _fy[m0[i - 1]] for i in range(1, nv + 1)}
-
-    v: list[Symbol] = [table.sentinel(H, 1), table.sentinel(H, 2)]
-    for i in range(1, nv):
-        v += x_exp[i]
-        v += x_exp[i]
-        v += y_exp[i]
-        v += y_exp[i]
-    v += [table.sentinel(H, 3), table.sentinel(H, 4)]
-    v += x_exp[nv]
-
-    # c0 = 1 + twice the weight of one x_i block over i < |V|, where dollars
-    # weigh one; computed by the q recurrence, never from the text.
-    qx: dict[int, int] = {}
-    for i, n in enumerate(order, start=1):
-        x, y = g.rules[n]
-        qa = qx[idx_of[x]] if x.is_nonterminal() else a.weight[x]
-        qb = qx[idx_of[y]] if y.is_nonterminal() else a.weight[y]
-        qx[i] = qa + qb + 2
-    c0 = 1 + sum(2 * qx[i] for i in range(1, nv))
-
-    new_syms, new_match, new_weight = [], {}, {}
-    for i in range(1, 2 * nv + 1):
-        di, dpi = table.sentinel(D, i), table.sentinel(DP, i)
-        new_syms += [di, dpi]
-        new_match[di], new_match[dpi] = dpi, di
-        new_weight[di] = new_weight[dpi] = 1
-    h1, h2 = table.sentinel(H, 1), table.sentinel(H, 2)
-    h3, h4 = table.sentinel(H, 3), table.sentinel(H, 4)
-    new_syms += [h1, h2, h3, h4]
-    new_match[h1], new_match[h4] = h4, h1
-    new_match[h2], new_match[h3] = h3, h2
-    new_weight[h1] = new_weight[h4] = 1
-    new_weight[h2] = new_weight[h3] = c0
-    extended = a.extended(new_syms, new_match, new_weight)
-
+    x_exp = expand_all(gp)
+    y_exp = expand_all(_mirrored(gp, extended.match))
+    v: list[Symbol] = [h1, h2]
+    for n in n0[:-1]:
+        v += x_exp[n]
+        v += x_exp[n]
+        v += y_exp[n]
+        v += y_exp[n]
+    v += [h3, h4]
+    v += x_exp[n0[-1]]
     return BoostResult(
         text=tuple(v),
         ordering=order,
         offset=c0,
         aux_grammar=gp,
-        aux_grammar2=gpp,
         alphabet=extended,
     )
 
@@ -584,6 +492,8 @@ class PointSet:
         pts = set(points)
         if len(pts) != m:
             raise BoostError(f"need exactly {m} distinct points, got {len(pts)}")
+        if m < 1:
+            raise BoostError("need at least one point")
         side = max(2, m)
         while side & (side - 1):
             side += 1
@@ -615,9 +525,9 @@ def answer_grammar(p: PointSet) -> SLG:
     nodes carry nonterminals for their substring and its bitwise negation; a
     point negates its row suffix by flipping one leaf and swapping right
     siblings along the root path.  Row roots are then combined by a second
-    perfect tree.
+    perfect tree.  Each call interns into a fresh table of its own.
     """
-    table = default_answer_table()
+    table = SymbolTable()
     m = p.m
     levels = m.bit_length() - 1
     zero, one = table.terminal("0"), table.terminal("1")
@@ -686,17 +596,6 @@ def answer_grammar(p: PointSet) -> SLG:
     g = SLG(rules, start, table)
     keep = reachable_nonterminals(g)
     return SLG({h: rules[h] for h in rules if h in keep}, start, table)
-
-
-_ANSWER_TABLE: SymbolTable | None = None
-
-
-def default_answer_table() -> SymbolTable:
-    """Answer grammars get a dedicated table: they mint many nonterminals."""
-    global _ANSWER_TABLE
-    if _ANSWER_TABLE is None:
-        _ANSWER_TABLE = SymbolTable()
-    return _ANSWER_TABLE
 
 
 # ---------------------------------------------------------------------------

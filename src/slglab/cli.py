@@ -134,17 +134,24 @@ def _load_grammar(path: str, table: SymbolTable, admissify: bool) -> SLG:
 def _load_points(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [
+                (line_no, ln.strip())
+                for line_no, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.startswith("#")
+            ]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     m = None
     points = []
-    for ln in lines:
-        if ln.startswith("m "):
-            m = int(ln.split()[1])
-            continue
-        x, y = ln.split()
-        points.append((int(x), int(y)))
+    for line_no, ln in lines:
+        try:
+            if ln.startswith("m "):
+                m = int(ln.split()[1])
+                continue
+            x, y = ln.split()
+            points.append((int(x), int(y)))
+        except ValueError as exc:
+            raise CliError(f"line {line_no}: bad point line {ln!r}") from exc
     if m is None:
         m = len(points)
     return boost.PointSet.normalized(m, points)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SLG, expand
+from .core import SLG, expand_all
 from .symbols import Symbol, SymbolTable, default_table
 
 
@@ -670,10 +670,5 @@ def is_irreducible(g: SLG) -> bool:
         if head != g.start and count < 2:
             return False
 
-    seen: set[tuple[Symbol, ...]] = set()
-    for head in g.rules:
-        e = expand(g, head)
-        if e in seen:
-            return False
-        seen.add(e)
-    return True
+    exps = expand_all(g)
+    return len(set(exps.values())) == len(exps)

@@ -187,29 +187,17 @@ def reachable_nonterminals(g: SLG) -> set[Symbol]:
 
 
 def expand(g: SLG, x: Symbol) -> tuple[Symbol, ...]:
-    """The unique terminal string derived from `x`, built bottom-up."""
+    """The unique terminal string derived from `x`."""
     if x.is_terminal():
         return (x,)
     if x not in g.rules:
         raise GrammarError(f"symbol not in grammar: {x.display}")
-    g.expansion_lengths()  # overflow guard before materializing
-    memo: dict[Symbol, tuple[Symbol, ...]] = {}
-    for head in g.topological():
-        parts: list[Symbol] = []
-        for sym in g.rules[head]:
-            if sym.is_terminal():
-                parts.append(sym)
-            else:
-                parts.extend(memo[sym])
-        memo[head] = tuple(parts)
-        if head == x:
-            break
-    return memo[x]
+    return expand_all(g)[x]
 
 
 def expand_all(g: SLG) -> dict[Symbol, tuple[Symbol, ...]]:
     """Expansions of every nonterminal, in one bottom-up pass."""
-    g.expansion_lengths()
+    g.expansion_lengths()  # overflow guard before materializing
     memo: dict[Symbol, tuple[Symbol, ...]] = {}
     for head in g.topological():
         parts: list[Symbol] = []

@@ -30,6 +30,7 @@ from slglab import (
     rna_beta,
     run_global,
     sequential,
+    serialize,
     stats,
     GlobalStrategy,
 )
@@ -40,7 +41,7 @@ from slglab.generate import (
     random_run_length_profile,
 )
 from slglab.rna import wrna
-from slglab.symbols import SentinelFamily, SymbolTable
+from slglab.symbols import SentinelFamily, SymbolTable, parse_sentinel_display
 
 
 def _unit_alphabet(table):
@@ -311,6 +312,62 @@ def test_folding_boosters_extend_match_involutively():
                 assert ext.weight[s] == ext.weight[ext.match[s]]
 
 
+_PRIMED = {
+    SentinelFamily.DOLLAR: SentinelFamily.DOLLAR_PRIME,
+    SentinelFamily.HASH: SentinelFamily.HASH_PRIME,
+    SentinelFamily.HASH_L: SentinelFamily.HASH_PRIME_R,
+    SentinelFamily.HASH_R: SentinelFamily.HASH_PRIME_L,
+}
+
+
+def _primed_reverse(seq, match, table):
+    """The mirror image of a forward stretch: reversed, letters mapped to
+    their match, $_i to $'_i, #_i to #'_i, #L_i to #'R_i and #R_i to #'L_i."""
+    out = []
+    for sym in reversed(seq):
+        sentinel = parse_sentinel_display(sym.display)
+        if sentinel is None:
+            out.append(match[sym])
+        else:
+            fam, i = sentinel
+            out.append(table.sentinel(_PRIMED[fam], i))
+    return tuple(out)
+
+
+def test_mirrored_halves_are_primed_reverses_of_forward_halves():
+    rng = random.Random(89)
+    for _ in range(30):
+        t = SymbolTable()
+        pairs = rng.randint(1, 4)
+        alphabet = random_matched_alphabet(rng, pairs, 5, t)
+        g = random_admissible_slg(rng, rng.randint(2, 12), pairs, 300, t)
+        match = alphabet.match
+
+        text = rna_alpha(g, alphabet).text
+        half = len(text) // 2
+        assert text[:half] == _primed_reverse(text[half:], match, t)
+
+        text = rna_beta(g, alphabet).text
+        q = len(text) // 4
+        quarters = [text[k * q : (k + 1) * q] for k in range(4)]
+        assert quarters[2] == _primed_reverse(quarters[1], match, t)
+        assert quarters[3] == _primed_reverse(quarters[0], match, t)
+
+        r = gamma(g, alphabet)
+        lens = g.expansion_lengths()
+        pos = 2  # after #_1 #_2; then x_i x_i y_i y_i for each i < |V|
+        for n in r.ordering[:-1]:
+            size = 3 * lens[n] - 2
+            x, x2, y, y2 = (r.text[pos + k * size : pos + (k + 1) * size] for k in range(4))
+            assert x == x2 and y == y2
+            assert y == _primed_reverse(x, match, t)
+            pos += 4 * size
+        assert r.text[pos : pos + 2] == (
+            t.sentinel(SentinelFamily.HASH, 3),
+            t.sentinel(SentinelFamily.HASH, 4),
+        )
+
+
 def test_rna_alpha_rejects_zero_weight(table, g0):
     a, b = table.terminal("a"), table.terminal("b")
     am, bm = table.terminal("a~"), table.terminal("b~")
@@ -348,6 +405,11 @@ def test_point_set_normalization_pads_to_power_of_two():
     assert (4, 4) in ps.points and len(ps.points) == 4
 
 
+def test_point_set_normalization_rejects_no_points():
+    with pytest.raises(BoostError, match="at least one point"):
+        PointSet.normalized(0, set())
+
+
 def test_answer_grammar_matches_answer_string():
     rng = random.Random(79)
     for m in (2, 4, 8, 16):
@@ -361,6 +423,13 @@ def test_answer_grammar_matches_answer_string():
             s = stats(g)
             assert s.height <= 2 * logm + 1
             assert s.size <= 2 * m * logm + 4 * m
+
+
+def test_answer_grammar_calls_share_no_table():
+    ps = PointSet(8, frozenset(random_point_set(random.Random(97), 8)))
+    first, second = answer_grammar(ps), answer_grammar(ps)
+    assert first.table is not second.table
+    assert serialize(first) == serialize(second)
 
 
 def test_answer_grammar_single_column():

@@ -88,6 +88,26 @@ def test_boost_answer_points(tmp_path):
     assert "m=2" in (tmp_path / "ans.meta").read_text()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "need at least one point"),
+        ("# no points\n\n", "need at least one point"),
+        ("x y\n", "line 1: bad point line 'x y'"),
+        ("1 1\n1 1 1\n", "line 2: bad point line '1 1 1'"),
+        ("m four\n1 1\n", "line 1: bad point line 'm four'"),
+    ],
+)
+def test_boost_answer_rejects_bad_points(tmp_path, capsys, content, message):
+    pts = tmp_path / "p.txt"
+    pts.write_text(content)
+    prefix = str(tmp_path / "ans")
+    assert main(["boost", "--kind", "answer", "--points", str(pts),
+                 "--out", prefix]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "ans.text").exists()
+
+
 def test_boost_gamma_needs_alphabet(tmp_path, g0_file, capsys):
     prefix = str(tmp_path / "x")
     assert main(["boost", "--kind", "gamma", "--grammar", g0_file,

@@ -1,0 +1,103 @@
+"""Property tests: text-format round trips of grammars and matched alphabets,
+and the laws of `make_admissible`.  Examples are derandomized and no example
+database is kept, so every run draws the same cases; Hypothesis keeps its
+on-disk caches in the system temporary directory, not in the working tree."""
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from slglab import (
+    SLG,
+    deserialize,
+    expand,
+    is_admissible,
+    is_isomorphic,
+    make_admissible,
+    serialize,
+)
+from slglab.rna import MatchedAlphabet, parse_matched_alphabet
+from slglab.symbols import SymbolTable
+
+# Set at import: Hypothesis writes its cache while pytest is still collecting.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "slglab-hypothesis"))
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+_LETTERS = ["a", "b", "c", "x1", "$_1", "#'R_2"]
+
+
+@st.composite
+def grammars(draw):
+    """An SLG over a fresh table: head i's body draws from the letters and
+    the heads before it, and the last head is the start."""
+    table = SymbolTable()
+    letters = [table.terminal(x) for x in draw(st.lists(
+        st.sampled_from(_LETTERS), min_size=1, max_size=4, unique=True))]
+    heads = [table.nonterminal(f"N{i}") for i in range(draw(st.integers(1, 6)))]
+    rules = {}
+    for i, head in enumerate(heads):
+        pool = letters + heads[:i]
+        rules[head] = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    return SLG(rules, heads[-1], table)
+
+
+@st.composite
+def matched_alphabets(draw):
+    table = SymbolTable()
+    names = draw(st.lists(
+        st.text("abxyz'", min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
+    names = names[: len(names) // 2 * 2]
+    symbols, match, weight = [], {}, {}
+    for a, b in zip(names[::2], names[1::2]):
+        sa, sb = table.terminal(a), table.terminal(b)
+        symbols += [sa, sb]
+        match[sa], match[sb] = sb, sa
+        weight[sa] = weight[sb] = draw(st.integers(0, 9))
+    return MatchedAlphabet(tuple(symbols), match, weight)
+
+
+def _text(g: SLG):
+    return [s.display for s in expand(g, g.start)]
+
+
+def _displays(a: MatchedAlphabet):
+    return (
+        [s.display for s in a.symbols],
+        {s.display: a.match[s].display for s in a.symbols},
+        {s.display: a.weight[s] for s in a.symbols},
+    )
+
+
+@PROPERTY
+@given(grammars())
+def test_grammar_text_round_trip(g):
+    text = serialize(g)
+    back = deserialize(text, SymbolTable())
+    assert serialize(back) == text
+    assert back.start.display == g.start.display
+    assert _text(back) == _text(g)
+
+
+@PROPERTY
+@given(matched_alphabets())
+def test_matched_alphabet_text_round_trip(a):
+    back = parse_matched_alphabet(a.serialize(), SymbolTable())
+    assert back.serialize() == a.serialize()
+    assert _displays(back) == _displays(a)
+
+
+@PROPERTY
+@given(grammars())
+def test_make_admissible_laws(g):
+    if len(_text(g)) < 2:
+        return
+    out = make_admissible(g)
+    assert is_admissible(out)
+    assert _text(out) == _text(g)
+    assert out.size <= 2 * g.size
+    # an admissible grammar is already in normal form
+    assert is_isomorphic(make_admissible(out), out)
+
