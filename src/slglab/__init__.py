@@ -3,7 +3,7 @@ analyzed alongside them, string boosters, CFG re-targeting, and non-crossing
 matching, with verification suites over all of their exact size and value
 identities."""
 
-from .symbols import SentinelFamily, Symbol, SymbolTable, default_table
+from .symbols import SentinelFamily, Symbol, SymbolTable
 from .core import (
     SLG,
     GrammarError,

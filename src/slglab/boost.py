@@ -494,6 +494,9 @@ class PointSet:
             raise BoostError(f"need exactly {m} distinct points, got {len(pts)}")
         if m < 1:
             raise BoostError("need at least one point")
+        for x, y in sorted(pts):
+            if not (1 <= x <= m and 1 <= y <= m):
+                raise BoostError(f"point ({x}, {y}) outside the {m} x {m} grid")
         side = max(2, m)
         while side & (side - 1):
             side += 1

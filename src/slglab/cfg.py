@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import SLG
-from .symbols import SentinelFamily, Symbol, SymbolTable, default_table
+from .symbols import SentinelFamily, Symbol, SymbolTable
 
 DEFAULT_CYK_CAP = 5000
 
@@ -83,8 +83,7 @@ def serialize_cfg(g: CFG) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cfg(text: str, table: SymbolTable | None = None) -> CFG:
-    table = table if table is not None else default_table()
+def parse_cfg(text: str, table: SymbolTable) -> CFG:
     raw: list[tuple[int, str, list[list[str]]]] = []
     heads: set[str] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -301,16 +300,10 @@ def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
 # -- transformations ----------------------------------------------------------
 
 
-def _fresh_cfg_nonterminal(table: SymbolTable, prefix: str) -> Symbol:
-    return table.fresh_nonterminal(prefix)
-
-
-def interleave(g: CFG, num_dollars: int, num_hashes: int,
-               table: SymbolTable | None = None) -> CFG:
+def interleave(g: CFG, num_dollars: int, num_hashes: int, table: SymbolTable) -> CFG:
     """Accepts even-length strings whose odd-position subsequence lies in
     the input language; even positions are wildcards over the enlarged
     alphabet (terminals plus the two sentinel families)."""
-    table = table if table is not None else default_table()
     if num_dollars < 0 or num_hashes < 0:
         raise CfgError("sentinel budget must be nonnegative")
     sentinels = [table.sentinel(SentinelFamily.DOLLAR, i) for i in range(1, num_dollars + 1)]
@@ -319,7 +312,7 @@ def interleave(g: CFG, num_dollars: int, num_hashes: int,
     if terms & set(sentinels):
         raise CfgError("sentinel families overlap the grammar alphabet")
     sigma = sorted(terms, key=lambda s: s.id) + sentinels
-    x = _fresh_cfg_nonterminal(table, "X")
+    x = table.fresh_nonterminal("X")
     rules: list[tuple[Symbol, tuple[Symbol, ...]]] = []
     for head, body in g.rules:
         # The wildcard follows every terminal occurrence; nonterminals carry
@@ -336,35 +329,31 @@ def interleave(g: CFG, num_dollars: int, num_hashes: int,
     return CFG(tuple(rules), g.start)
 
 
-def add_prefix(g: CFG, k: int, alphabet=None, table: SymbolTable | None = None) -> CFG:
+def add_prefix(g: CFG, k: int, alphabet, table: SymbolTable) -> CFG:
     """Accepts exactly (alphabet^k) . L(input), via a doubling chain."""
-    table = table if table is not None else default_table()
     if k < 1:
         raise CfgError("prefix length must be at least 1")
-    sigma = sorted(
-        alphabet if alphabet is not None else g.terminals(), key=lambda s: s.id
-    )
+    sigma = sorted(alphabet, key=lambda s: s.id)
     m = k.bit_length() - 1
-    xs = [_fresh_cfg_nonterminal(table, "X") for _ in range(m + 1)]
+    xs = [table.fresh_nonterminal("X") for _ in range(m + 1)]
     rules: list[tuple[Symbol, tuple[Symbol, ...]]] = list(g.rules)
     for c in sigma:
         rules.append((xs[0], (c,)))
     for i in range(1, m + 1):
         rules.append((xs[i], (xs[i - 1], xs[i - 1])))
     prefix = [xs[b] for b in range(m + 1) if (k >> b) & 1]
-    new_start = _fresh_cfg_nonterminal(table, "SP")
+    new_start = table.fresh_nonterminal("SP")
     rules.append((new_start, tuple(prefix) + (g.start,)))
     return CFG(tuple(rules), new_start)
 
 
-def erase_closure(g: CFG, sentinels, table: SymbolTable | None = None) -> CFG:
+def erase_closure(g: CFG, sentinels, table: SymbolTable) -> CFG:
     """Accepts every string that lands in the input language after erasing
     all occurrences of the given sentinel symbols."""
-    table = table if table is not None else default_table()
     sentinels = list(sentinels)
     if g.terminals() & set(sentinels):
         raise CfgError("sentinel set overlaps the grammar alphabet")
-    nd = _fresh_cfg_nonterminal(table, "ND")
+    nd = table.fresh_nonterminal("ND")
     rules: list[tuple[Symbol, tuple[Symbol, ...]]] = []
     for head, body in g.rules:
         inter: list[Symbol] = [nd]

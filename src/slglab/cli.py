@@ -297,7 +297,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, GrammarError, cfgmod.CfgError, RnaError,
-            boost.BoostError, comp.CompressorError, ValueError) as exc:
+            boost.BoostError, comp.CompressorError, ValueError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,15 +2,19 @@
 
 The global engine (RePair and friends) repeatedly replaces a maximal string;
 the nonglobal algorithms process the input online.  Inputs may be plain
-strings (characters become terminals) or sequences of interned symbols.
+strings (characters become terminals of the given table) or sequences of
+symbols interned in that table; any other symbol is refused.  Every
+compressor reads its input through `_input_ids` and works on integer ids;
+`_slg` turns the finished id rules back into symbols once.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SLG, expand_all
-from .symbols import Symbol, SymbolTable, default_table
+from .core import SLG, GrammarError, expand_all
+from .symbols import Symbol, SymbolTable
 
 
 class CompressorError(ValueError):
@@ -21,6 +25,38 @@ def _as_symbols(u, table: SymbolTable) -> tuple[Symbol, ...]:
     if isinstance(u, str):
         return table.chars(u)
     return tuple(u)
+
+
+def _input_ids(u, table: SymbolTable) -> tuple[int, ...]:
+    """The ids of a nonempty input whose symbols are all interned in `table`."""
+    u = _as_symbols(u, table)
+    if not u:
+        raise CompressorError("empty input")
+    # One check per distinct object: a table interns each symbol once.
+    for s in {id(s): s for s in u}.values():
+        if table.get(s.display) is not s:
+            raise GrammarError(f"symbol {s.display} is not interned in this table")
+    return tuple(s.id for s in u)
+
+
+def _slg(rules: dict[int, Sequence[int]], start: int, table: SymbolTable) -> SLG:
+    """The SLG over `table` whose rules are given by ids, in that order."""
+    by_id = table.by_id
+    return SLG(
+        {by_id(h): tuple(map(by_id, body)) for h, body in rules.items()},
+        by_id(start),
+        table,
+    )
+
+
+def _concat(seqs) -> list[int]:
+    """The id sequences joined by distinct negative separators, so that no
+    repeat found in the result crosses from one sequence into the next."""
+    concat: list[int] = []
+    for sep, s in enumerate(seqs, start=1):
+        concat.extend(s)
+        concat.append(-sep)
+    return concat
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +140,7 @@ def _maximal_candidates(seqs: list[list[int]]):
     a string survives a level only while its disjoint count stays >= 2, and
     it is maximal exactly when no longer survivor matches its count.
     """
-    concat: list[int] = []
-    sep = -1
-    for s in seqs:
-        concat.extend(s)
-        concat.append(sep)
-        sep -= 1
+    concat = _concat(seqs)
     n = len(concat)
 
     groups: dict[tuple[int, int], list[int]] = {}
@@ -217,56 +248,46 @@ def global_step(g: SLG, s) -> SLG:
     s = _as_symbols(s, g.table)
     if len(s) < 2 or s not in maximal_strings(g):
         raise CompressorError("not a maximal string")
-    table = g.table
-    fresh = table.fresh_nonterminal("R")
+    fresh = g.table.fresh_nonterminal("R").id
     sid = tuple(sym.id for sym in s)
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    for head, body in g.rules.items():
-        replaced = _replace_all([x.id for x in body], sid, fresh.id)
-        rules[head] = tuple(table.by_id(i) for i in replaced)
-    rules[fresh] = s
-    return SLG(rules, g.start, table)
+    rules = {
+        head.id: _replace_all([x.id for x in body], sid, fresh)
+        for head, body in g.rules.items()
+    }
+    rules[fresh] = sid
+    return _slg(rules, g.start.id, g.table)
 
 
-def run_global(u, strategy: GlobalStrategy, table: SymbolTable | None = None) -> SLG:
+def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
     """Iterate maximal-string replacement from the single-rule grammar."""
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
-    if len(u) < 1:
-        raise CompressorError("empty input")
-    start = table.fresh_nonterminal("S")
-    heads: list[Symbol] = [start]
-    bodies: list[list[int]] = [[s.id for s in u]]
+    bodies = [list(_input_ids(u, table))]
+    heads = [table.fresh_nonterminal("S").id]
     while True:
         candidates, concat = _maximal_candidates(bodies)
         if not candidates:
             break
         pos, length, _ = strategy.choose(candidates, concat)
         sid = tuple(concat[pos : pos + length])
-        fresh = table.fresh_nonterminal("R")
-        bodies = [_replace_all(b, sid, fresh.id) for b in bodies]
+        fresh = table.fresh_nonterminal("R").id
+        bodies = [_replace_all(b, sid, fresh) for b in bodies]
         heads.append(fresh)
         bodies.append(list(sid))
-    rules = {
-        head: tuple(table.by_id(i) for i in body)
-        for head, body in zip(heads, bodies)
-    }
-    return SLG(rules, start, table)
+    return _slg(dict(zip(heads, bodies)), heads[0], table)
 
 
-def repair(u, table=None) -> SLG:
+def repair(u, table: SymbolTable) -> SLG:
     return run_global(u, GlobalStrategy.REPAIR, table)
 
 
-def repair_pairs_only(u, table=None) -> SLG:
+def repair_pairs_only(u, table: SymbolTable) -> SLG:
     return run_global(u, GlobalStrategy.REPAIR_PAIRS_ONLY, table)
 
 
-def greedy(u, table=None) -> SLG:
+def greedy(u, table: SymbolTable) -> SLG:
     return run_global(u, GlobalStrategy.GREEDY, table)
 
 
-def longest_match(u, table=None) -> SLG:
+def longest_match(u, table: SymbolTable) -> SLG:
     return run_global(u, GlobalStrategy.LONGEST_MATCH, table)
 
 
@@ -275,17 +296,17 @@ def longest_match(u, table=None) -> SLG:
 
 
 class _OnlineGrammar:
-    """Mutable working state shared by Sequential and Sequitur."""
+    """Mutable working state shared by Sequential and Sequitur, on ids."""
 
     def __init__(self, table: SymbolTable, prefix: str):
         self.table = table
-        self.start = table.fresh_nonterminal("S")
-        self.start_body: list[Symbol] = []
-        self.sec: dict[Symbol, list[Symbol]] = {}  # secondary rules, in creation order
+        self.start = table.fresh_nonterminal("S").id
+        self.start_body: list[int] = []
+        self.sec: dict[int, list[int]] = {}  # secondary rules, in creation order
         self.prefix = prefix
 
-    def new_rule(self, body: list[Symbol]) -> Symbol:
-        head = self.table.fresh_nonterminal(self.prefix)
+    def new_rule(self, body: list[int]) -> int:
+        head = self.table.fresh_nonterminal(self.prefix).id
         self.sec[head] = body
         return head
 
@@ -293,56 +314,40 @@ class _OnlineGrammar:
         yield self.start_body
         yield from self.sec.values()
 
-    def find_repeated_digram(self) -> tuple[Symbol, Symbol] | None:
+    def find_repeated_digram(self) -> tuple[int, int] | None:
         """First digram (in scan order) with two non-overlapping occurrences."""
-        # Keyed by ids: hashing an int pair is much cheaper than hashing Symbols.
         counts: dict[tuple[int, int], int] = {}
         last: dict[tuple[int, int], tuple[int, int]] = {}
         for ridx, body in enumerate(self.all_bodies()):
-            ids = [s.id for s in body]
-            for i in range(len(ids) - 1):
-                d = (ids[i], ids[i + 1])
+            for i in range(len(body) - 1):
+                d = (body[i], body[i + 1])
                 prev = last.get(d)
                 if prev is not None and prev[0] == ridx and i < prev[1] + 2:
                     continue  # overlaps the occurrence already counted
                 last[d] = (ridx, i)
                 counts[d] = counts.get(d, 0) + 1
                 if counts[d] == 2:
-                    return body[i], body[i + 1]
+                    return d
         return None
 
-    def replace_digram(self, d: tuple[Symbol, Symbol], new: Symbol) -> None:
-        pat = (d[0].id, d[1].id)
-        self.start_body[:] = [
-            self.table.by_id(i)
-            for i in _replace_all([s.id for s in self.start_body], pat, new.id)
-        ]
-        for head in self.sec:
-            if head == new:
-                continue
-            body = self.sec[head]
-            self.sec[head] = [
-                self.table.by_id(i)
-                for i in _replace_all([s.id for s in body], pat, new.id)
-            ]
-
-    def use_counts(self) -> dict[int, int]:
-        """Uses of each secondary rule, keyed by head id."""
-        counts = {head.id: 0 for head in self.sec}
-        for body in self.all_bodies():
-            for s in body:
-                if s.id in counts:
-                    counts[s.id] += 1
-        return counts
+    def replace_digram(self, d: tuple[int, int], new: int) -> None:
+        self.start_body[:] = _replace_all(self.start_body, d, new)
+        for head, body in self.sec.items():
+            if head != new:
+                self.sec[head] = _replace_all(body, d, new)
 
     def inline_single_uses(self) -> bool:
         """Inline one single-use secondary (drop zero-use ones); True if any."""
-        counts = self.use_counts()
+        counts = dict.fromkeys(self.sec, 0)
+        for body in self.all_bodies():
+            for s in body:
+                if s in counts:
+                    counts[s] += 1
         for head in list(self.sec):
-            if counts[head.id] == 0:
+            if counts[head] == 0:
                 del self.sec[head]
                 return True
-            if counts[head.id] == 1:
+            if counts[head] == 1:
                 definition = self.sec.pop(head)
                 for body in self.all_bodies():
                     for i, s in enumerate(body):
@@ -352,25 +357,19 @@ class _OnlineGrammar:
         return False
 
     def to_slg(self) -> SLG:
-        rules: dict[Symbol, tuple[Symbol, ...]] = {self.start: tuple(self.start_body)}
-        for head, body in self.sec.items():
-            rules[head] = tuple(body)
-        return SLG(rules, self.start, self.table)
+        return _slg({self.start: self.start_body, **self.sec}, self.start, self.table)
 
 
-def sequential(u, table: SymbolTable | None = None) -> SLG:
+def sequential(u, table: SymbolTable) -> SLG:
     """Online longest-known-prefix parsing with repeated-pair elimination
     and single-use inlining after every appended symbol."""
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
-    if len(u) < 1:
-        raise CompressorError("empty input")
+    u = _input_ids(u, table)
     st = _OnlineGrammar(table, "Q")
-    exps: dict[Symbol, tuple[Symbol, ...]] = {}  # secondary expansions
-    by_len: list[Symbol] = []  # secondaries sorted by decreasing expansion length
+    exps: dict[int, tuple[int, ...]] = {}  # secondary expansions
+    by_len: list[int] = []  # secondaries sorted by decreasing expansion length
     pos, n = 0, len(u)
     while pos < n:
-        best: Symbol | None = None
+        best: int | None = None
         for head in by_len:
             e = exps[head]
             if pos + len(e) <= n and u[pos] == e[0] and u[pos : pos + len(e)] == e:
@@ -387,9 +386,8 @@ def sequential(u, table: SymbolTable | None = None) -> SLG:
         while True:
             d = st.find_repeated_digram()
             if d is not None:
-                body = [d[0], d[1]]
-                head = st.new_rule(body)
-                exps[head] = _online_expansion(body, exps)
+                head = st.new_rule(list(d))
+                exps[head] = _online_expansion(d, exps)
                 st.replace_digram(d, head)
                 by_len.append(head)
                 by_len.sort(key=lambda h: -len(exps[h]))
@@ -404,8 +402,8 @@ def sequential(u, table: SymbolTable | None = None) -> SLG:
     return st.to_slg()
 
 
-def _online_expansion(body, exps) -> tuple[Symbol, ...]:
-    out: list[Symbol] = []
+def _online_expansion(body, exps) -> tuple[int, ...]:
+    out: list[int] = []
     for s in body:
         if s in exps:
             out.extend(exps[s])
@@ -418,13 +416,10 @@ def _online_expansion(body, exps) -> tuple[Symbol, ...]:
 # Sequitur
 
 
-def sequitur(u, table: SymbolTable | None = None) -> SLG:
+def sequitur(u, table: SymbolTable) -> SLG:
     """Symbol-by-symbol processing with three prioritized reductions keyed
     to the length-2 suffix of the start rule, applied to quiescence."""
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
-    if len(u) < 1:
-        raise CompressorError("empty input")
+    u = _input_ids(u, table)
     st = _OnlineGrammar(table, "U")
     for sym in u:
         st.start_body.append(sym)
@@ -444,7 +439,7 @@ def _sequitur_reduce(st: _OnlineGrammar) -> bool:
                 return True
         # 2. The suffix digram repeats non-overlappingly somewhere.
         if _sequitur_suffix_repeats(st, suffix):
-            head = st.new_rule([suffix[0], suffix[1]])
+            head = st.new_rule(list(suffix))
             st.replace_digram(suffix, head)
             return True
     # 3. Single-use rule inlining.
@@ -467,18 +462,14 @@ def _sequitur_suffix_repeats(st: _OnlineGrammar, suffix) -> bool:
 # Bisection
 
 
-def bisection(u, table: SymbolTable | None = None) -> SLG:
+def bisection(u, table: SymbolTable) -> SLG:
     """Recursive split at the largest power of two below the length; one
     nonterminal per distinct generated substring of length > 1."""
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
-    n = len(u)
-    if n < 1:
-        raise CompressorError("empty input")
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    memo: dict[tuple[Symbol, ...], Symbol] = {}
+    u = _input_ids(u, table)
+    rules: dict[int, tuple[int, ...]] = {}
+    memo: dict[tuple[int, ...], int] = {}
 
-    def node(s: tuple[Symbol, ...]) -> Symbol:
+    def node(s: tuple[int, ...]) -> int:
         if len(s) == 1:
             return s[0]
         have = memo.get(s)
@@ -487,23 +478,23 @@ def bisection(u, table: SymbolTable | None = None) -> SLG:
         k = 1
         while k * 2 < len(s):
             k *= 2
-        head = table.fresh_nonterminal("B")
+        head = table.fresh_nonterminal("B").id
         memo[s] = head
         rules[head] = (node(s[:k]), node(s[k:]))
         return head
 
-    if n == 1:
-        start = table.fresh_nonterminal("B")
-        rules[start] = (u[0],)
-        return SLG(rules, start, table)
-    return SLG(rules, node(u), table)
+    if len(u) == 1:
+        start = table.fresh_nonterminal("B").id
+        rules[start] = u
+        return _slg(rules, start, table)
+    return _slg(rules, node(u), table)
 
 
 # ---------------------------------------------------------------------------
 # LZ78
 
 
-def lz78(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
+def lz78(u, table: SymbolTable) -> tuple[Factorization, SLG]:
     """Classic LZ78 parse plus its straight-line encoding.
 
     The grammar uses one nonterminal per phrase, a shared empty nonterminal
@@ -511,51 +502,41 @@ def lz78(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
     start rule listing the phrases, which makes its size exactly three times
     the phrase count (one less when the input ends on a bare repeat).
     """
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
+    u = _input_ids(u, table)
     n = len(u)
-    if n < 1:
-        raise CompressorError("empty input")
     children: dict[tuple[int, int], int] = {}
-    phrases: list[tuple[int, Symbol | None]] = []  # (previous phrase index, ext)
+    phrases: list[tuple[int, int | None]] = []  # (previous phrase index, ext id)
     starts: list[int] = []
     i = 0
     while i < n:
         starts.append(i + 1)
         cur = 0
-        while i < n and (cur, u[i].id) in children:
-            cur = children[(cur, u[i].id)]
+        while i < n and (cur, u[i]) in children:
+            cur = children[(cur, u[i])]
             i += 1
         if i < n:
-            children[(cur, u[i].id)] = len(phrases) + 1
+            children[(cur, u[i])] = len(phrases) + 1
             phrases.append((cur, u[i]))
             i += 1
         else:
             phrases.append((cur, None))  # bare repeat at end of input
 
-    plist = []
-    for idx, (prev, ext) in enumerate(phrases):
-        end = starts[idx + 1] - 1 if idx + 1 < len(phrases) else n
-        plist.append(
-            Phrase(starts[idx], end - starts[idx] + 1, ("prev", prev, ext))
-        )
-    fact = Factorization(tuple(plist))
+    starts.append(n + 1)
+    fact = Factorization(tuple(
+        Phrase(starts[k], starts[k + 1] - starts[k],
+               ("prev", prev, None if ext is None else table.by_id(ext)))
+        for k, (prev, ext) in enumerate(phrases)
+    ))
 
-    empty = table.fresh_nonterminal("E")
-    heads = [table.fresh_nonterminal("F") for _ in phrases]
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    start = table.fresh_nonterminal("S")
-    rules[start] = tuple(heads)
-    rules[empty] = ()
-    used_empty = False
+    # The first phrase always extends the empty phrase, so E is always used.
+    empty = table.fresh_nonterminal("E").id
+    heads = [table.fresh_nonterminal("F").id for _ in phrases]
+    start = table.fresh_nonterminal("S").id
+    rules: dict[int, tuple[int, ...]] = {start: tuple(heads), empty: ()}
     for head, (prev, ext) in zip(heads, phrases):
         left = heads[prev - 1] if prev > 0 else empty
-        if prev == 0:
-            used_empty = True
-        rules[head] = (left, ext) if ext is not None else (left,)
-    if not used_empty:
-        del rules[empty]
-    return fact, SLG(rules, start, table)
+        rules[head] = (left,) if ext is None else (left, ext)
+    return fact, _slg(rules, start, table)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +551,14 @@ class _Trie:
         self.ref = None  # ("sym", Symbol) or ("phrase", index)
 
 
-def lzd(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
+def lzd(u, table: SymbolTable) -> tuple[Factorization, SLG]:
     """LZD parse: each phrase is the concatenation of the two longest
     prefixes drawn from earlier phrases and single symbols."""
-    table = table if table is not None else default_table()
-    u = _as_symbols(u, table)
+    u = _input_ids(u, table)
     n = len(u)
-    if n < 1:
-        raise CompressorError("empty input")
-
     root = _Trie()
 
-    def insert(ids: list[int], ref) -> None:
+    def insert(ids, ref) -> None:
         node = root
         for i in ids:
             nxt = node.children.get(i)
@@ -591,15 +568,15 @@ def lzd(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
             node = nxt
         node.ref = ref
 
-    for sym in set(u):
-        insert([sym.id], ("sym", sym))
+    for i in set(u):
+        insert((i,), ("sym", table.by_id(i)))
 
     def longest(pos: int):
         node = root
         best_ref, best_len = None, 0
         i = pos
         while i < n:
-            node = node.children.get(u[i].id)
+            node = node.children.get(u[i])
             if node is None:
                 break
             i += 1
@@ -618,7 +595,7 @@ def lzd(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
             ref2, len2 = longest(pos + len1)
         total = len1 + len2
         idx = len(phrases) + 1
-        insert([s.id for s in u[pos : pos + total]], ("phrase", idx))
+        insert(u[pos : pos + total], ("phrase", idx))
         phrases.append((pos + 1, total, ref1, ref2))
         pos += total
 
@@ -626,17 +603,16 @@ def lzd(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
         tuple(Phrase(st, ln, ("parts", r1, r2)) for st, ln, r1, r2 in phrases)
     )
 
-    heads = [table.fresh_nonterminal("D") for _ in phrases]
+    heads = [table.fresh_nonterminal("D").id for _ in phrases]
 
-    def resolve(ref) -> Symbol:
-        return ref[1] if ref[0] == "sym" else heads[ref[1] - 1]
+    def resolve(ref) -> int:
+        return ref[1].id if ref[0] == "sym" else heads[ref[1] - 1]
 
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    start = table.fresh_nonterminal("S")
-    rules[start] = tuple(heads)
+    start = table.fresh_nonterminal("S").id
+    rules: dict[int, tuple[int, ...]] = {start: tuple(heads)}
     for head, (_, _, r1, r2) in zip(heads, phrases):
         rules[head] = (resolve(r1),) if r2 is None else (resolve(r1), resolve(r2))
-    return fact, SLG(rules, start, table)
+    return fact, _slg(rules, start, table)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +622,7 @@ def lzd(u, table: SymbolTable | None = None) -> tuple[Factorization, SLG]:
 def is_irreducible(g: SLG) -> bool:
     """No repeated non-overlapping digram, no single-use secondary, and no
     two nonterminals sharing an expansion."""
-    seqs = _rule_id_seqs(g)
-    concat: list[int] = []
-    sep = -1
-    for s in seqs:
-        concat.extend(s)
-        concat.append(sep)
-        sep -= 1
+    concat = _concat(_rule_id_seqs(g))
     positions: dict[tuple[int, int], list[int]] = {}
     for p in range(len(concat) - 1):
         if concat[p] >= 0 and concat[p + 1] >= 0:

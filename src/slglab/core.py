@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symbols import (
-    Symbol,
-    SymbolTable,
-    default_table,
-    parse_sentinel_display,
-)
+from .symbols import Symbol, SymbolTable, parse_sentinel_display
 
 # Expansion lengths are tracked with 64-bit semantics; exceeding this is a
 # hard error instead of silent wraparound.
@@ -55,9 +50,9 @@ class SLG:
         self,
         rules: dict[Symbol, tuple[Symbol, ...]],
         start: Symbol,
-        table: SymbolTable | None = None,
+        table: SymbolTable,
     ):
-        self.table = table if table is not None else default_table()
+        self.table = table
         self.rules = {head: tuple(body) for head, body in rules.items()}
         self.start = start
         self._topo: tuple[Symbol, ...] | None = None
@@ -425,8 +420,7 @@ def _is_comment(stripped: str) -> bool:
     return stripped == "#" or stripped.startswith("# ")
 
 
-def deserialize(text: str, table: SymbolTable | None = None) -> SLG:
-    table = table if table is not None else default_table()
+def deserialize(text: str, table: SymbolTable) -> SLG:
     parsed: list[tuple[int, str, list[str]]] = []
     heads: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -5,7 +5,7 @@ import random
 
 from .core import SLG, is_admissible
 from .rna import MatchedAlphabet
-from .symbols import Symbol, SymbolTable, default_table
+from .symbols import Symbol, SymbolTable
 
 _LETTERS = "abcdefghijklmnop"
 
@@ -17,8 +17,7 @@ def terminal_alphabet(table: SymbolTable, size: int) -> list[Symbol]:
 
 
 def random_string(rng: random.Random, length: int, alphabet_size: int,
-                  table: SymbolTable | None = None) -> tuple[Symbol, ...]:
-    table = table if table is not None else default_table()
+                  table: SymbolTable) -> tuple[Symbol, ...]:
     alpha = terminal_alphabet(table, alphabet_size)
     return tuple(rng.choice(alpha) for _ in range(length))
 
@@ -26,9 +25,9 @@ def random_string(rng: random.Random, length: int, alphabet_size: int,
 def random_admissible_slg(
     rng: random.Random,
     num_nonterminals: int,
-    alphabet_size: int = 4,
-    max_total_expansion: int = 400,
-    table: SymbolTable | None = None,
+    alphabet_size: int,
+    max_total_expansion: int,
+    table: SymbolTable,
 ) -> SLG:
     """Admissible SLG with the given nonterminal count.
 
@@ -40,7 +39,6 @@ def random_admissible_slg(
     """
     if num_nonterminals < 1:
         raise ValueError("need at least one nonterminal")
-    table = table if table is not None else default_table()
     alpha = terminal_alphabet(table, alphabet_size)
 
     for _ in range(200):
@@ -84,8 +82,8 @@ def random_admissible_slg(
 def random_admissible_slg_with_expansion(
     rng: random.Random,
     max_total_expansion: int,
-    alphabet_size: int = 4,
-    table: SymbolTable | None = None,
+    alphabet_size: int,
+    table: SymbolTable,
 ) -> SLG:
     """Admissible grammar whose total expansion stays under the given cap;
     the nonterminal count is drawn to fit."""
@@ -98,12 +96,11 @@ def random_admissible_slg_with_expansion(
 
 def random_slg(
     rng: random.Random,
-    num_nonterminals: int = 6,
-    alphabet_size: int = 4,
-    table: SymbolTable | None = None,
+    num_nonterminals: int,
+    alphabet_size: int,
+    table: SymbolTable,
 ) -> SLG:
     """General SLG (bodies of length 1..4, possibly unreachable rules)."""
-    table = table if table is not None else default_table()
     alpha = terminal_alphabet(table, alphabet_size)
     for _ in range(100):
         heads = [table.fresh_nonterminal("H") for _ in range(num_nonterminals)]
@@ -121,8 +118,8 @@ def random_slg(
 def random_dyadic_slg(
     rng: random.Random,
     length: int,
-    alphabet_size: int = 2,
-    table: SymbolTable | None = None,
+    alphabet_size: int,
+    table: SymbolTable,
 ) -> SLG:
     """Dyadic SLG for a random (often periodic) string of the given length.
 
@@ -132,7 +129,6 @@ def random_dyadic_slg(
     """
     if length < 2:
         raise ValueError("length must be at least 2")
-    table = table if table is not None else default_table()
     alpha = terminal_alphabet(table, alphabet_size)
     if rng.random() < 0.5:
         period = rng.randint(1, 4)
@@ -164,20 +160,17 @@ def random_dyadic_slg(
 
 def random_matched_alphabet(
     rng: random.Random,
-    pairs: int = 2,
-    max_weight: int = 4,
-    table: SymbolTable | None = None,
-    base: str | None = None,
+    pairs: int,
+    max_weight: int,
+    table: SymbolTable,
 ) -> MatchedAlphabet:
     """Alphabet of `pairs` matched letter pairs with weights in 1..max_weight."""
-    table = table if table is not None else default_table()
     symbols: list[Symbol] = []
     match: dict[Symbol, Symbol] = {}
     weight: dict[Symbol, int] = {}
-    letters = base if base is not None else _LETTERS
     for i in range(pairs):
-        a = table.terminal(letters[i])
-        b = table.terminal(letters[i] + "~")
+        a = table.terminal(_LETTERS[i])
+        b = table.terminal(_LETTERS[i] + "~")
         w = rng.randint(1, max_weight)
         symbols += [a, b]
         match[a], match[b] = b, a

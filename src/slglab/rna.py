@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import Symbol, SymbolTable, default_table
+from .symbols import Symbol, SymbolTable
 
 DEFAULT_LENGTH_CAP = 3000
 
@@ -72,8 +72,7 @@ class MatchedAlphabet:
         return "\n".join(lines) + "\n"
 
 
-def parse_matched_alphabet(text: str, table: SymbolTable | None = None) -> MatchedAlphabet:
-    table = table if table is not None else default_table()
+def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
     symbols: list[Symbol] = []
     match: dict[Symbol, Symbol] = {}
     weight: dict[Symbol, int] = {}

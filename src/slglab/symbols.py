@@ -143,10 +143,3 @@ class SymbolTable:
     def chars(self, text: str) -> tuple[Symbol, ...]:
         """Intern every character of `text` as a terminal."""
         return tuple(self.terminal(ch) for ch in text)
-
-
-DEFAULT_TABLE = SymbolTable()
-
-
-def default_table() -> SymbolTable:
-    return DEFAULT_TABLE

@@ -96,6 +96,8 @@ def test_boost_answer_points(tmp_path):
         ("x y\n", "line 1: bad point line 'x y'"),
         ("1 1\n1 1 1\n", "line 2: bad point line '1 1 1'"),
         ("m four\n1 1\n", "line 1: bad point line 'm four'"),
+        # checked before padding to 4 x 4, which would add (4, 4) again
+        ("1 1\n2 2\n4 4\n", "point (4, 4) outside the 3 x 3 grid"),
     ],
 )
 def test_boost_answer_rejects_bad_points(tmp_path, capsys, content, message):
@@ -106,6 +108,20 @@ def test_boost_answer_rejects_bad_points(tmp_path, capsys, content, message):
                  "--out", prefix]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ans.text").exists()
+
+
+@pytest.mark.parametrize("kind", ["alpha", "beta"])
+def test_boost_expansion_overflow_exits_2(tmp_path, capsys, kind):
+    # A70 expands to 2**70 symbols; A63 is the first past the 64-bit range.
+    rules = [f"A{k} -> A{k - 1} A{k - 1}" for k in range(70, 1, -1)]
+    deep = tmp_path / "deep.slg"
+    deep.write_text("\n".join(rules + ["A1 -> a b"]) + "\n")
+    prefix = str(tmp_path / "x")
+    assert main(["boost", "--kind", kind, "--grammar", str(deep),
+                 "--out", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expansion length of A63 exceeds 64-bit range\n"
+    assert not (tmp_path / "x.text").exists()
 
 
 def test_boost_gamma_needs_alphabet(tmp_path, g0_file, capsys):

@@ -8,16 +8,21 @@ from slglab import (
     SLG,
     CompressorError,
     GlobalStrategy,
+    GrammarError,
     alpha,
     bisection,
     count_nonoverlapping,
     expand,
     expand_text,
     global_step,
+    greedy,
     is_irreducible,
+    longest_match,
     lz78,
     lzd,
     maximal_strings,
+    repair,
+    repair_pairs_only,
     rna_beta,
     run_global,
     sequential,
@@ -278,3 +283,20 @@ def test_empty_input_rejected(table):
     for fn in (lz78, lzd):
         with pytest.raises(CompressorError, match="empty input"):
             fn("", table)
+
+
+@pytest.mark.parametrize(
+    "compress",
+    [repair, repair_pairs_only, greedy, longest_match, sequential, sequitur,
+     bisection, lz78, lzd],
+)
+def test_symbols_of_another_table_rejected(compress):
+    # Table b holds other letters at the ids table a gave to "a" and "b", so
+    # an id-only reading would compress "abababab" as "xyxyxyxy".
+    a, b = SymbolTable(), SymbolTable()
+    u = a.chars("abababab")
+    assert b.chars("xy") == (b.by_id(u[0].id), b.by_id(u[1].id))
+    with pytest.raises(GrammarError, match="^symbol a is not interned in this table$"):
+        compress(u, b)
+    # a string is always interned into the given table
+    assert expand_text(sequential("abab", b)) == "abab"

@@ -1,5 +1,5 @@
-"""Property tests: text-format round trips of grammars and matched alphabets,
-and the laws of `make_admissible`.  Examples are derandomized and no example
+"""Property tests: text-format round trips of grammars, CFGs and matched
+alphabets, and the laws of `make_admissible` and `is_isomorphic`.  Examples are derandomized and no example
 database is kept, so every run draws the same cases; Hypothesis keeps its
 on-disk caches in the system temporary directory, not in the working tree."""
 import os
@@ -18,6 +18,7 @@ from slglab import (
     make_admissible,
     serialize,
 )
+from slglab.cfg import CFG, parse_cfg, serialize_cfg
 from slglab.rna import MatchedAlphabet, parse_matched_alphabet
 from slglab.symbols import SymbolTable
 
@@ -42,6 +43,23 @@ def grammars(draw):
         pool = letters + heads[:i]
         rules[head] = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
     return SLG(rules, heads[-1], table)
+
+
+@st.composite
+def cfgs(draw):
+    """A CFG over a fresh table with one to three alternatives per head,
+    among them epsilon bodies and unit rules; the first head is the start."""
+    table = SymbolTable()
+    letters = [table.terminal(x) for x in _LETTERS]
+    heads = [table.nonterminal(f"N{i}") for i in range(draw(st.integers(1, 4)))]
+    body = st.one_of(
+        st.just(()),
+        st.tuples(st.sampled_from(heads)),
+        st.lists(st.sampled_from(letters + heads), min_size=1, max_size=4).map(tuple),
+    )
+    rules = [(head, b) for head in heads
+             for b in draw(st.lists(body, min_size=1, max_size=3))]
+    return CFG(tuple(draw(st.permutations(rules))), heads[0])
 
 
 @st.composite
@@ -101,3 +119,47 @@ def test_make_admissible_laws(g):
     # an admissible grammar is already in normal form
     assert is_isomorphic(make_admissible(out), out)
 
+
+
+def _cfg_rules(g: CFG):
+    return sorted((h.display, tuple(s.display for s in b)) for h, b in g.rules)
+
+
+@PROPERTY
+@given(cfgs())
+def test_cfg_text_round_trip(g):
+    text = serialize_cfg(g)
+    back = parse_cfg(text, SymbolTable())
+    assert serialize_cfg(back) == text
+    assert back.start.display == g.start.display
+    assert _cfg_rules(back) == _cfg_rules(g)
+
+
+@PROPERTY
+@given(grammars(), grammars(), st.data())
+def test_is_isomorphic_laws(g, other, data):
+    assert is_isomorphic(g, g)
+    assert is_isomorphic(g, other) == is_isomorphic(other, g)
+    # rename every nonterminal within the same table, rules in a new order
+    heads = list(g.rules)
+    order = data.draw(st.permutations(range(len(heads))))
+    new = {x: g.table.nonterminal(f"M{k}") for x, k in zip(heads, order)}
+    renamed = SLG(
+        {new[x]: tuple(new.get(s, s) for s in g.rules[x])
+         for x in sorted(heads, key=lambda x: new[x].display)},
+        new[g.start],
+        g.table,
+    )
+    assert is_isomorphic(g, renamed) and is_isomorphic(renamed, g)
+    # change one terminal occurrence
+    spots = [(x, i) for x in heads for i, s in enumerate(g.rules[x]) if s.is_terminal()]
+    if not spots:
+        return
+    x, i = data.draw(st.sampled_from(spots))
+    body = g.rules[x]
+    others = sorted(g.terminals() - {body[i]}, key=lambda s: s.id)
+    t = data.draw(st.sampled_from(others or [g.table.terminal("z")]))
+    rules = dict(renamed.rules)
+    rules[new[x]] = tuple(new.get(s, s) for s in body[:i] + (t,) + body[i + 1:])
+    changed = SLG(rules, renamed.start, g.table)
+    assert not is_isomorphic(g, changed) and not is_isomorphic(changed, g)
