@@ -229,6 +229,9 @@ def cmd_boost(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--max-nonterms", args.max_nonterms)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
     seed = args.seed
     env = os.environ.get("SLGLAB_SEED")
     if env is not None:

@@ -1,14 +1,29 @@
 """Grammar compression algorithms producing SLGs over the input's alphabet.
 
-The global engine (RePair and friends) repeatedly replaces a maximal string;
-the nonglobal algorithms process the input online.  Inputs may be plain
+The global engine (`run_global`) repeatedly replaces a maximal string; the
+nonglobal algorithms process the input online.  Inputs may be plain
 strings (characters become terminals of the given table) or sequences of
 symbols interned in that table; any other symbol is refused.  Every
 compressor reads its input through `_input_ids` and works on integer ids;
 `_slg` turns the finished id rules back into symbols once.
+
+Each global strategy picks its string directly, without listing the
+maximal strings.  Let f(s) be the greedy non-overlapping count of s over
+the rule bodies and M(L) the largest f among strings of length L.  M never
+increases with L, and a string s with f(s) >= 2 is maximal exactly when
+f(s) > M(|s| + 1).  So, with ties going to the shorter string and then to
+the smaller id sequence:
+
+- RePair takes the longest string of count M(2), grown from the pairs of
+  that count.  RePair over pairs only always takes the same string.
+- LongestMatch takes the longest string with two non-overlapping
+  occurrences, found by a galloping search over its length.
+- Greedy takes the largest f(L - 1) - L over all repeated strings of
+  length L, grown level by level from the pairs.
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -131,65 +146,74 @@ def _rule_id_seqs(g: SLG) -> list[list[int]]:
     return [[s.id for s in body] for body in g.rules.values()]
 
 
-def _maximal_candidates(seqs: list[list[int]]):
-    """All maximal strings over the given rule bodies.
+# The level growth.  A group is (positions, f): every start of one distinct
+# string in a `_concat` sequence, and f, the string's greedy non-overlapping
+# count.  A prefix occurs wherever its extensions do and is shorter, so its
+# count is at least theirs: growing every group with f >= 2 from the pairs
+# reaches every string with f >= 2.
 
-    Returns (candidates, concat) where each candidate is (pos, length, f):
-    the string is concat[pos:pos+length] and f is its greedy non-overlapping
-    occurrence count.  Distinct repeated substrings are grown level by level;
-    a string survives a level only while its disjoint count stays >= 2, and
-    it is maximal exactly when no longer survivor matches its count.
-    """
-    concat = _concat(seqs)
-    n = len(concat)
 
+def _pair_groups(concat: list[int]) -> list[tuple[list[int], int]]:
+    """The groups of the pairs with f >= 2."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for p in range(n - 1):
+    for p in range(len(concat) - 1):
         a = concat[p]
         if a < 0 or concat[p + 1] < 0:
             continue
         groups.setdefault((a, concat[p + 1]), []).append(p)
-    cur: list[tuple[list[int], int]] = []
+    out = []
     for positions in groups.values():
         if len(positions) >= 2:
             f = _greedy_disjoint(positions, 2)
             if f >= 2:
-                cur.append((positions, f))
+                out.append((positions, f))
+    return out
 
-    candidates: list[tuple[int, int, int]] = []
-    length = 2
-    while cur:
-        nxt: list[tuple[list[int], int]] = []
-        best_next = 0
-        for positions, _ in cur:
-            buckets: dict[int, list[int]] = {}
-            for p in positions:
-                q = p + length
-                if q < n and concat[q] >= 0:
-                    buckets.setdefault(concat[q], []).append(p)
-            for ext in buckets.values():
-                if len(ext) >= 2:
-                    f = _greedy_disjoint(ext, length + 1)
-                    if f >= 2:
-                        nxt.append((ext, f))
-                        if f > best_next:
-                            best_next = f
-        for positions, f in cur:
-            if f > best_next:
-                candidates.append((positions[0], length, f))
-        cur = nxt
-        length += 1
-    return candidates, concat
+
+def _extend(concat: list[int], groups, length: int, least: int):
+    """The groups one symbol longer than the given groups of strings of
+    `length`, keeping those with f >= `least` (at least 2)."""
+    out = []
+    for positions, _ in groups:
+        buckets: dict[int, list[int]] = {}
+        for p in positions:
+            # concat ends with a separator, so p + length is in range
+            b = concat[p + length]
+            if b >= 0:
+                buckets.setdefault(b, []).append(p)
+        for ext in buckets.values():
+            if len(ext) >= least:
+                f = _greedy_disjoint(ext, length + 1)
+                if f >= least:
+                    out.append((ext, f))
+    return out
+
+
+def _smallest(concat: list[int], groups, length: int) -> tuple[int, ...]:
+    """The smallest by ids among the strings of the groups."""
+    return min(tuple(concat[ps[0] : ps[0] + length]) for ps, _ in groups)
 
 
 def maximal_strings(g: SLG) -> set[tuple[Symbol, ...]]:
     """Strings of length >= 2 with >= 2 greedy non-overlapping occurrences
-    on the right-hand sides, not dominated by any longer such string."""
-    candidates, concat = _maximal_candidates(_rule_id_seqs(g))
-    table = g.table
+    on the right-hand sides, not dominated by any longer such string.
+
+    A string s with f(s) >= 2 is maximal exactly when f(s) > M(|s| + 1),
+    where M(L) is the largest count among strings of length L (0 if none).
+    """
+    concat = _concat(_rule_id_seqs(g))
+    by_id = g.table.by_id
     out = set()
-    for pos, length, _ in candidates:
-        out.add(tuple(table.by_id(i) for i in concat[pos : pos + length]))
+    groups, length = _pair_groups(concat), 2
+    while groups:
+        longer = _extend(concat, groups, length, 2)
+        bound = max((f for _, f in longer), default=0)  # M(length + 1)
+        for positions, f in groups:
+            if f > bound:
+                p = positions[0]
+                out.add(tuple(map(by_id, concat[p : p + length])))
+        groups = longer
+        length += 1
     return out
 
 
@@ -198,37 +222,149 @@ def maximal_strings(g: SLG) -> set[tuple[Symbol, ...]]:
 
 
 class GlobalStrategy(Enum):
-    """Selector over the maximal-string candidates of the current grammar."""
+    """The rule by which a global algorithm picks among the maximal strings
+    of the current grammar: the most frequent (REPAIR), the most frequent
+    pair if a pair is maximal and else RePair's pick (REPAIR_PAIRS_ONLY),
+    the one of largest f(L - 1) - L (GREEDY) or the longest
+    (LONGEST_MATCH).  Ties break by shorter length, then by the smaller id
+    sequence.
+
+    REPAIR_PAIRS_ONLY always picks what REPAIR picks.  If M(2) > M(3),
+    RePair's pick is a pair of count M(2), which is also the most frequent
+    maximal pair.  Otherwise no pair has a count above M(3) = M(2), so no
+    pair is maximal and the fallback is RePair's pick itself.
+    """
 
     REPAIR = "repair"
     REPAIR_PAIRS_ONLY = "repair2"
     GREEDY = "greedy"
     LONGEST_MATCH = "longest"
 
-    def choose(self, candidates, concat):
-        # Ties break by shortest length, then lexicographically by ids.
-        def ids(c):
-            pos, length, _ = c
-            return tuple(concat[pos : pos + length])
 
-        if self is GlobalStrategy.LONGEST_MATCH:
-            return min(candidates, key=lambda c: (-c[1], ids(c)))
-        if self is GlobalStrategy.GREEDY:
-            return min(
-                candidates,
-                key=lambda c: (-(c[2] * (c[1] - 1) - c[1]), c[1], ids(c)),
-            )
-        if self is GlobalStrategy.REPAIR_PAIRS_ONLY:
-            pairs = [c for c in candidates if c[1] == 2]
-            if pairs:
-                return min(pairs, key=lambda c: (-c[2], ids(c)))
-            # No length-2 maximal string exists; fall back to RePair's pick.
-        return min(candidates, key=lambda c: (-c[2], c[1], ids(c)))
+def _pick_repair(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
+    """The most frequent maximal string.  F = M(2) is the largest count of
+    any string, and a string of count F is maximal exactly when no string
+    one longer has count F: it is a longest string of count F.  Its
+    prefixes all have count F, so only groups of count F are grown."""
+    concat = _concat(bodies)
+    groups = _pair_groups(concat)
+    if not groups:
+        return None
+    top = max(f for _, f in groups)
+    groups = [grp for grp in groups if grp[1] == top]
+    length = 2
+    while True:
+        longer = _extend(concat, groups, length, top)
+        if not longer:
+            return _smallest(concat, groups, length)
+        groups = longer
+        length += 1
+
+
+def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
+    """The maximal string of largest f(L - 1) - L.  A string s that is not
+    maximal has an extension t with f(t) >= f(s), which scores at least
+    f(s) - 1 > 0 more, so the largest score over all repeated strings is
+    only reached by maximal ones."""
+    concat = _concat(bodies)
+    groups = _pair_groups(concat)
+    length = 2
+    best, pick = None, None
+    while groups:
+        top = max(f for _, f in groups)
+        gain = top * (length - 1) - length
+        if best is None or gain > best:
+            best = gain
+            pick = _smallest(concat, [grp for grp in groups if grp[1] == top], length)
+        groups = _extend(concat, groups, length, 2)
+        length += 1
+    return pick
+
+
+# Above this many key bytes per probe, `_pick_longest` keys windows by views,
+# which copy nothing, instead of by byte strings, which compare faster.
+_KEY_BYTES = 1 << 24
+
+
+def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
+    """The longest string with two non-overlapping occurrences.
+
+    A string of length L has two exactly when its last start minus its
+    first is at least L.  If some string of length L + 1 passes, so does its
+    prefix, so a galloping search over L is exact.  `hint`, the length of
+    the last round's pick, bounds the answer.  Take two non-overlapping
+    occurrences of a string t after that round.  If both lie in the new
+    rule's body, 2|t| <= hint.  Otherwise expanding the new nonterminal
+    maps them to two non-overlapping occurrences of a string at least as
+    long as t before the round, and longer than hint if t holds the new
+    nonterminal.
+    """
+    # Two occurrences fit in one body of length 2L or in two of length L.
+    lens = sorted(map(len, bodies), reverse=True) + [0]
+    limit = max(lens[0] // 2, lens[1])
+    if hint is not None:
+        limit = min(limit, hint)
+    if limit < 2:
+        return None
+    concat = _concat(bodies)
+    # Equal runs of ids are equal aligned runs of bytes.  Ids and
+    # separators fit in 32 bits: sentinel ids, the largest, stay below 2**30.
+    arr = array("i", concat)
+    packed, width = arr.tobytes(), arr.itemsize
+    view = memoryview(packed)
+
+    def repeated(length: int) -> list[int]:
+        # First starts of the strings that pass.  A window holding one of
+        # the distinct separators occurs once, so it never passes.
+        k = len(concat) - length + 1
+        span = width * length
+        src = packed if k * span <= _KEY_BYTES else view
+        keys = [src[a : a + span] for a in range(0, width * k, width)]
+        first = dict(zip(reversed(keys), range(k - 1, -1, -1)))
+        last = dict(zip(keys, range(k)))
+        return [p for key, p in first.items() if last[key] - p >= length]
+
+    # Gallop from the start until the test flips, then bisect.  A string of
+    # length lo passes and none of length hi does.
+    lo, hi, best = 1, limit + 1, None
+    length, step = (2, 1) if hint is None else (limit, -1)
+    while lo < length < hi:
+        found = repeated(length)
+        if found:
+            lo, best = length, found
+        else:
+            hi = length
+        if (step > 0) != bool(found):
+            break
+        length += step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = repeated(mid)
+        if found:
+            lo, best = mid, found
+        else:
+            hi = mid
+    if best is None:
+        return None
+    return min(tuple(concat[p : p + lo]) for p in best)
+
+
+_PICKS = {
+    GlobalStrategy.REPAIR: _pick_repair,
+    GlobalStrategy.REPAIR_PAIRS_ONLY: _pick_repair,
+    GlobalStrategy.GREEDY: _pick_greedy,
+    GlobalStrategy.LONGEST_MATCH: _pick_longest,
+}
 
 
 def _replace_all(body: list[int], s: tuple[int, ...], new_id: int) -> list[int]:
-    m = len(s)
+    """`body` with the greedy left-to-right non-overlapping occurrences of
+    `s` replaced by `new_id`; `body` itself when it lacks `s[0]`."""
     first = s[0]
+    if first not in body:
+        return body
+    m = len(s)
     out: list[int] = []
     i = 0
     n = len(body)
@@ -260,18 +396,16 @@ def global_step(g: SLG, s) -> SLG:
 
 def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
     """Iterate maximal-string replacement from the single-rule grammar."""
+    pick = _PICKS[strategy]
     bodies = [list(_input_ids(u, table))]
     heads = [table.fresh_nonterminal("S").id]
-    while True:
-        candidates, concat = _maximal_candidates(bodies)
-        if not candidates:
-            break
-        pos, length, _ = strategy.choose(candidates, concat)
-        sid = tuple(concat[pos : pos + length])
+    hint = None
+    while (sid := pick(bodies, hint)) is not None:
         fresh = table.fresh_nonterminal("R").id
         bodies = [_replace_all(b, sid, fresh) for b in bodies]
         heads.append(fresh)
         bodies.append(list(sid))
+        hint = len(sid)
     return _slg(dict(zip(heads, bodies)), heads[0], table)
 
 

@@ -62,6 +62,102 @@ def brute_maximal_strings(g):
     return out
 
 
+def _reference_candidates(bodies):
+    """Every maximal string of the bodies as (pos, length, f) into their
+    separator-joined concatenation, by growing all repeated strings level
+    by level and keeping those no longer survivor matches in count."""
+    concat = []
+    for sep, body in enumerate(bodies, start=1):
+        concat.extend(body)
+        concat.append(-sep)
+    n = len(concat)
+
+    def disjoint(positions, length):
+        count, last = 0, -length
+        for p in positions:
+            if p >= last + length:
+                count, last = count + 1, p
+        return count
+
+    groups = {}
+    for p in range(n - 1):
+        if concat[p] >= 0 and concat[p + 1] >= 0:
+            groups.setdefault((concat[p], concat[p + 1]), []).append(p)
+    cur = [(ps, disjoint(ps, 2)) for ps in groups.values()]
+    cur = [(ps, f) for ps, f in cur if f >= 2]
+    candidates, length = [], 2
+    while cur:
+        nxt = []
+        for positions, _ in cur:
+            buckets = {}
+            for p in positions:
+                if concat[p + length] >= 0:
+                    buckets.setdefault(concat[p + length], []).append(p)
+            for ext in buckets.values():
+                f = disjoint(ext, length + 1)
+                if f >= 2:
+                    nxt.append((ext, f))
+        best_next = max((f for _, f in nxt), default=0)
+        candidates += [(ps[0], length, f) for ps, f in cur if f > best_next]
+        cur, length = nxt, length + 1
+    return candidates, concat
+
+
+def _reference_choose(strategy, candidates, concat):
+    """The strategy's key over the maximal strings; ties break by shorter
+    length, then by the smaller id sequence."""
+    def ids(c):
+        pos, length, _ = c
+        return tuple(concat[pos : pos + length])
+
+    name = strategy.value
+    if name == "longest":
+        return min(candidates, key=lambda c: (-c[1], ids(c)))
+    if name == "greedy":
+        return min(
+            candidates, key=lambda c: (-(c[2] * (c[1] - 1) - c[1]), c[1], ids(c))
+        )
+    if name == "repair2":
+        pairs = [c for c in candidates if c[1] == 2]
+        if pairs:
+            return min(pairs, key=lambda c: (-c[2], ids(c)))
+        # No length-2 maximal string exists; fall back to RePair's pick.
+    return min(candidates, key=lambda c: (-c[2], c[1], ids(c)))
+
+
+def _reference_replace(body, s, new):
+    out, i, m = [], 0, len(s)
+    while i < len(body):
+        if tuple(body[i : i + m]) == s:
+            out.append(new)
+            i += m
+        else:
+            out.append(body[i])
+            i += 1
+    return out
+
+
+def run_global_reference(u, strategy, table):
+    """The global algorithm by definition: list every maximal string each
+    round, pick one by the strategy's key and replace it everywhere."""
+    syms = table.chars(u) if isinstance(u, str) else tuple(u)
+    bodies = [[s.id for s in syms]]
+    heads = [table.fresh_nonterminal("S").id]
+    while True:
+        candidates, concat = _reference_candidates(bodies)
+        if not candidates:
+            break
+        pos, length, _ = _reference_choose(strategy, candidates, concat)
+        sid = tuple(concat[pos : pos + length])
+        fresh = table.fresh_nonterminal("R").id
+        bodies = [_reference_replace(b, sid, fresh) for b in bodies]
+        heads.append(fresh)
+        bodies.append(list(sid))
+    by_id = table.by_id
+    rules = {by_id(h): tuple(map(by_id, b)) for h, b in zip(heads, bodies)}
+    return SLG(rules, by_id(heads[0]), table)
+
+
 def brute_dyadic_distinct(u):
     """Distinct substrings over dyadic intervals of length > 1."""
     u = tuple(u)

@@ -196,6 +196,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--trials", "0"), ("--trials", "-1"), ("--max-nonterms", "0")]
+)
+def test_verify_rejects_counts_below_one(capsys, flag, value):
+    assert main(["verify", "--suite", "lzd", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["verify", "--suite", "nosuch"]) == 2
     assert main(["compress"]) == 2

@@ -10,6 +10,7 @@ from slglab import (
     GlobalStrategy,
     GrammarError,
     alpha,
+    beta,
     bisection,
     count_nonoverlapping,
     expand,
@@ -27,11 +28,13 @@ from slglab import (
     run_global,
     sequential,
     sequitur,
+    serialize,
 )
+from slglab import compressors
 from slglab.generate import random_admissible_slg, random_matched_alphabet, random_string
 from slglab.symbols import SymbolTable
 
-from conftest import brute_dyadic_distinct, brute_maximal_strings
+from conftest import brute_dyadic_distinct, brute_maximal_strings, run_global_reference
 
 
 def _single_rule(table, text):
@@ -115,6 +118,67 @@ def test_run_global_terminates_and_roundtrips():
         assert len(g.rules) <= n + 1
 
 
+def _global_corpus():
+    """(label, input maker) pairs; each maker interns into the table given.
+    Random texts, periodic texts with and without one mutated symbol, and
+    the boosted strings of random admissible grammars."""
+    rng = random.Random(61)
+    for i in range(60):
+        n, sigma, seed = rng.randint(1, 300), rng.randint(1, 16), rng.random()
+        yield f"random-{i}", lambda t, n=n, sigma=sigma, seed=seed: random_string(
+            random.Random(seed), n, sigma, t)
+    for i in range(40):
+        period, sigma, n = rng.randint(1, 12), rng.randint(1, 4), rng.randint(1, 300)
+        seed, mutate = rng.random(), (rng.randrange(n) if i % 2 else None)
+
+        def periodic(t, period=period, sigma=sigma, n=n, seed=seed, mutate=mutate):
+            word = random_string(random.Random(seed), period, sigma, t)
+            u = list((word * (n // period + 1))[:n])
+            if mutate is not None:
+                u[mutate] = t.terminal("z")
+            return tuple(u)
+
+        yield f"periodic-{i}", periodic
+    for i in range(40):
+        seed, boost = rng.random(), (alpha, beta)[i % 2]
+
+        def boosted(t, seed=seed, boost=boost):
+            r = random.Random(seed)
+            return boost(random_admissible_slg(r, r.randint(1, 8), 3, 60, t)).text
+
+        yield f"{boost.__name__}-{i}", boosted
+
+
+def _global_run(compress, make, strategy):
+    """The serialized grammar and every symbol of the table, in intern order."""
+    t = SymbolTable()
+    g = compress(make(t), strategy, t)
+    return serialize(g), list(t._by_id.values())
+
+
+def test_run_global_matches_reference():
+    for label, make in _global_corpus():
+        for strategy in GlobalStrategy:
+            assert _global_run(run_global, make, strategy) == _global_run(
+                run_global_reference, make, strategy), (label, strategy)
+
+
+def test_longest_match_view_keys_match_reference(monkeypatch):
+    # Windows too long to copy as byte strings are keyed by views; force it.
+    monkeypatch.setattr(compressors, "_KEY_BYTES", 0)
+    longest = GlobalStrategy.LONGEST_MATCH
+    for label, make in _global_corpus():
+        assert _global_run(run_global, make, longest) == _global_run(
+            run_global_reference, make, longest), label
+
+
+def test_repair_pairs_only_equals_repair():
+    for label, make in _global_corpus():
+        t1, t2 = SymbolTable(), SymbolTable()
+        assert serialize(repair_pairs_only(make(t1), t1)) == serialize(
+            repair(make(t2), t2)), label
+
+
 def test_sequential_examples(table):
     g = sequential("ab", table)
     assert g.size == 2
@@ -178,8 +242,6 @@ def test_lzd_examples(table):
 
 
 def test_lzd_on_beta_string(g0, table):
-    from slglab import beta
-
     w = beta(g0).text
     fact, g = lzd(w, table)
     assert len(fact) == 6
@@ -241,7 +303,7 @@ def test_round_trip_all_compressors():
         if n <= 400:
             g = sequential(u, t)
             assert expand(g, g.start) == u
-        if n <= 250:
+        if n <= 400:
             g = run_global(u, strategies[i % 4], t)
             assert expand(g, g.start) == u
 

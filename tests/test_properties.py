@@ -1,7 +1,9 @@
 """Property tests: text-format round trips of grammars, CFGs and matched
-alphabets, and the laws of `make_admissible` and `is_isomorphic`.  Examples are derandomized and no example
-database is kept, so every run draws the same cases; Hypothesis keeps its
-on-disk caches in the system temporary directory, not in the working tree."""
+alphabets, the laws of `make_admissible` and `is_isomorphic`, and the global
+compressors against their by-definition reference.  Examples are
+derandomized and no example database is kept, so every run draws the same
+cases; Hypothesis keeps its on-disk caches in the system temporary
+directory, not in the working tree."""
 import os
 import tempfile
 
@@ -11,16 +13,20 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from slglab import (
     SLG,
+    GlobalStrategy,
     deserialize,
     expand,
     is_admissible,
     is_isomorphic,
     make_admissible,
+    run_global,
     serialize,
 )
 from slglab.cfg import CFG, parse_cfg, serialize_cfg
 from slglab.rna import MatchedAlphabet, parse_matched_alphabet
 from slglab.symbols import SymbolTable
+
+from conftest import run_global_reference
 
 # Set at import: Hypothesis writes its cache while pytest is still collecting.
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "slglab-hypothesis"))
@@ -163,3 +169,11 @@ def test_is_isomorphic_laws(g, other, data):
     rules[new[x]] = tuple(new.get(s, s) for s in body[:i] + (t,) + body[i + 1:])
     changed = SLG(rules, renamed.start, g.table)
     assert not is_isomorphic(g, changed) and not is_isomorphic(changed, g)
+
+
+@PROPERTY
+@given(st.text("abc", min_size=1, max_size=40), st.sampled_from(list(GlobalStrategy)))
+def test_run_global_matches_reference(text, strategy):
+    t1, t2 = SymbolTable(), SymbolTable()
+    assert serialize(run_global(text, strategy, t1)) == serialize(
+        run_global_reference(text, strategy, t2))
