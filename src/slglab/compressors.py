@@ -281,11 +281,6 @@ def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
     return pick
 
 
-# Above this many key bytes per probe, `_pick_longest` keys windows by views,
-# which copy nothing, instead of by byte strings, which compare faster.
-_KEY_BYTES = 1 << 24
-
-
 def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
     """The longest string with two non-overlapping occurrences.
 
@@ -311,15 +306,13 @@ def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] 
     # separators fit in 32 bits: sentinel ids, the largest, stay below 2**30.
     arr = array("i", concat)
     packed, width = arr.tobytes(), arr.itemsize
-    view = memoryview(packed)
 
     def repeated(length: int) -> list[int]:
         # First starts of the strings that pass.  A window holding one of
         # the distinct separators occurs once, so it never passes.
         k = len(concat) - length + 1
         span = width * length
-        src = packed if k * span <= _KEY_BYTES else view
-        keys = [src[a : a + span] for a in range(0, width * k, width)]
+        keys = [packed[a : a + span] for a in range(0, width * k, width)]
         first = dict(zip(reversed(keys), range(k - 1, -1, -1)))
         last = dict(zip(keys, range(k)))
         return [p for key, p in first.items() if last[key] - p >= length]

@@ -30,7 +30,6 @@ from slglab import (
     sequitur,
     serialize,
 )
-from slglab import compressors
 from slglab.generate import random_admissible_slg, random_matched_alphabet, random_string
 from slglab.symbols import SymbolTable
 
@@ -161,15 +160,6 @@ def test_run_global_matches_reference():
         for strategy in GlobalStrategy:
             assert _global_run(run_global, make, strategy) == _global_run(
                 run_global_reference, make, strategy), (label, strategy)
-
-
-def test_longest_match_view_keys_match_reference(monkeypatch):
-    # Windows too long to copy as byte strings are keyed by views; force it.
-    monkeypatch.setattr(compressors, "_KEY_BYTES", 0)
-    longest = GlobalStrategy.LONGEST_MATCH
-    for label, make in _global_corpus():
-        assert _global_run(run_global, make, longest) == _global_run(
-            run_global_reference, make, longest), label
 
 
 def test_repair_pairs_only_equals_repair():
