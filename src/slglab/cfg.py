@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import SLG
+from .core import SLG, _is_comment
 from .symbols import SentinelFamily, Symbol, SymbolTable
 
 DEFAULT_CYK_CAP = 5000
@@ -88,7 +88,7 @@ def parse_cfg(text: str, table: SymbolTable) -> CFG:
     heads: set[str] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line == "#" or line.startswith("# "):
+        if not line or _is_comment(line):
             continue
         if "->" not in line:
             raise CfgError(f"line {line_no}: missing '->'")

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import boost, verify
 from . import cfg as cfgmod
@@ -28,13 +27,13 @@ from .core import (
 from .symbols import SymbolTable
 
 _ALGORITHMS = {
-    "repair": lambda u, t: comp.repair(u, t),
-    "repair2": lambda u, t: comp.repair_pairs_only(u, t),
-    "greedy": lambda u, t: comp.greedy(u, t),
-    "longest": lambda u, t: comp.longest_match(u, t),
-    "sequitur": lambda u, t: comp.sequitur(u, t),
-    "sequential": lambda u, t: comp.sequential(u, t),
-    "bisection": lambda u, t: comp.bisection(u, t),
+    "repair": comp.repair,
+    "repair2": comp.repair_pairs_only,
+    "greedy": comp.greedy,
+    "longest": comp.longest_match,
+    "sequitur": comp.sequitur,
+    "sequential": comp.sequential,
+    "bisection": comp.bisection,
     "lz78": lambda u, t: comp.lz78(u, t)[1],
     "lzd": lambda u, t: comp.lzd(u, t)[1],
 }
@@ -42,28 +41,6 @@ _ALGORITHMS = {
 
 class CliError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One compression run: what ran, on what, how big, how long."""
-
-    source: str
-    algorithm: str
-    size: int
-    num_nonterminals: int
-    expansion_length: int
-    total_expansion: int
-    height: int
-    elapsed: float
-
-    def stats_line(self) -> str:
-        return (
-            f"alg={self.algorithm} size={self.size} "
-            f"nonterms={self.num_nonterminals} explen={self.expansion_length} "
-            f"totalexp={self.total_expansion} height={self.height} "
-            f"elapsed={self.elapsed:.3f}s"
-        )
 
 
 def _read_input(path: str) -> str:
@@ -102,17 +79,11 @@ def cmd_compress(args) -> int:
     _write_output(args.out, serialize(g))
     if args.stats:
         s = stats(g)
-        report = RunReport(
-            source=args.infile,
-            algorithm=args.alg,
-            size=s.size,
-            num_nonterminals=s.num_nonterminals,
-            expansion_length=s.expansion_length,
-            total_expansion=s.total_expansion,
-            height=s.height,
-            elapsed=elapsed,
+        print(
+            f"alg={args.alg} size={s.size} nonterms={s.num_nonterminals} "
+            f"explen={s.expansion_length} totalexp={s.total_expansion} "
+            f"height={s.height} elapsed={elapsed:.3f}s"
         )
-        print(report.stats_line())
     return 0
 
 

@@ -80,17 +80,11 @@ def _concat(seqs) -> list[int]:
 
 @dataclass(frozen=True)
 class Phrase:
-    """One phrase of a factorization.
-
-    `refs` records provenance: ("prev", i, ext) for LZ78 (i = 0 means no
-    previous phrase; ext is None for a bare final repeat), ("parts", a, b)
-    for LZD where each part is ("phrase", i) or ("sym", symbol) and b may be
-    None when the input ends mid-phrase.
-    """
+    """One phrase of a factorization; its rule in the grammar holds the
+    parts it is made of."""
 
     start: int  # 1-based position in the input
     length: int
-    refs: tuple
 
 
 @dataclass(frozen=True)
@@ -492,22 +486,18 @@ def sequential(u, table: SymbolTable) -> SLG:
     and single-use inlining after every appended symbol."""
     u = _input_ids(u, table)
     st = _OnlineGrammar(table, "Q")
-    exps: dict[int, tuple[int, ...]] = {}  # secondary expansions
-    by_len: list[int] = []  # secondaries sorted by decreasing expansion length
+    exps: dict[int, tuple[int, ...]] = {}  # expansions of the secondaries made
+    children: dict[tuple[int, int], int] = {}
+    ref: list[int | None] = [None]
     pos, n = 0, len(u)
     while pos < n:
-        best: int | None = None
-        for head in by_len:
-            e = exps[head]
-            if pos + len(e) <= n and u[pos] == e[0] and u[pos : pos + len(e)] == e:
-                best = head
-                break
-        if best is not None:
-            st.start_body.append(best)
-            pos += len(exps[best])
-        else:
-            st.start_body.append(u[pos])
-            pos += 1
+        # An irreducible grammar has no two secondaries of one expansion, so
+        # the longest live match is the only match of its length.
+        best, length = _trie_longest(children, ref, u, pos, st.sec)
+        if best is None:
+            best, length = u[pos], 1
+        st.start_body.append(best)
+        pos += length
         # Normalize: at most one repeated pair can exist, then at most one
         # single-use nonterminal; loop defensively until quiescent.
         while True:
@@ -515,17 +505,12 @@ def sequential(u, table: SymbolTable) -> SLG:
             if d is not None:
                 head = st.new_rule(list(d))
                 exps[head] = _online_expansion(d, exps)
+                _trie_insert(children, ref, exps[head], head)
                 st.replace_digram(d, head)
-                by_len.append(head)
-                by_len.sort(key=lambda h: -len(exps[h]))
                 continue
             if st.inline_single_uses():
                 continue
             break
-        for head in list(exps):
-            if head not in st.sec:
-                del exps[head]
-        by_len = [h for h in by_len if h in exps]
     return st.to_slg()
 
 
@@ -618,7 +603,44 @@ def bisection(u, table: SymbolTable) -> SLG:
 
 
 # ---------------------------------------------------------------------------
-# LZ78
+# One trie for the parsers (LZ78, LZD, Sequential)
+#
+# `children[(node, id)]` is the child of `node` along `id`; node 0 is the
+# root and spells the empty string.  `ref[node]` is the grammar id whose
+# expansion the node spells, or None.
+
+
+def _trie_insert(children: dict, ref: list, ids: Sequence[int], head: int) -> None:
+    """Make the node spelling `ids` refer to `head`."""
+    node = 0
+    for i in ids:
+        nxt = children.get((node, i))
+        if nxt is None:
+            nxt = children[(node, i)] = len(ref)
+            ref.append(None)
+        node = nxt
+    ref[node] = head
+
+
+def _trie_longest(children: dict, ref: list, u: Sequence[int], pos: int,
+                  live=None) -> tuple[int | None, int]:
+    """The id and length of the longest string in the trie that `u` has at
+    `pos`, counting only ids in `live` when it is given; (None, 0) if none."""
+    node, best, best_len = 0, None, 0
+    for i in range(pos, len(u)):
+        node = children.get((node, u[i]))
+        if node is None:
+            break
+        head = ref[node]
+        if head is not None and (live is None or head in live):
+            best, best_len = head, i + 1 - pos
+    return best, best_len
+
+
+def _factorization(starts: list[int], n: int) -> Factorization:
+    """The phrases that start at the 0-based `starts` of an input of length n."""
+    ends = starts[1:] + [n]
+    return Factorization(tuple(Phrase(a + 1, b - a) for a, b in zip(starts, ends)))
 
 
 def lz78(u, table: SymbolTable) -> tuple[Factorization, SLG]:
@@ -632,50 +654,29 @@ def lz78(u, table: SymbolTable) -> tuple[Factorization, SLG]:
     u = _input_ids(u, table)
     n = len(u)
     children: dict[tuple[int, int], int] = {}
-    phrases: list[tuple[int, int | None]] = []  # (previous phrase index, ext id)
+    # The root spells the empty phrase; the first phrase always extends it,
+    # so E is always used.
+    ref = [table.fresh_nonterminal("E").id]
+    rules: dict[int, tuple[int, ...]] = {}
     starts: list[int] = []
     i = 0
     while i < n:
-        starts.append(i + 1)
+        starts.append(i)
         cur = 0
         while i < n and (cur, u[i]) in children:
             cur = children[(cur, u[i])]
             i += 1
+        head = table.fresh_nonterminal("F").id
         if i < n:
-            children[(cur, u[i])] = len(phrases) + 1
-            phrases.append((cur, u[i]))
+            children[(cur, u[i])] = len(ref)
+            ref.append(head)
+            rules[head] = (ref[cur], u[i])
             i += 1
         else:
-            phrases.append((cur, None))  # bare repeat at end of input
-
-    starts.append(n + 1)
-    fact = Factorization(tuple(
-        Phrase(starts[k], starts[k + 1] - starts[k],
-               ("prev", prev, None if ext is None else table.by_id(ext)))
-        for k, (prev, ext) in enumerate(phrases)
-    ))
-
-    # The first phrase always extends the empty phrase, so E is always used.
-    empty = table.fresh_nonterminal("E").id
-    heads = [table.fresh_nonterminal("F").id for _ in phrases]
+            rules[head] = (ref[cur],)  # bare repeat at end of input
     start = table.fresh_nonterminal("S").id
-    rules: dict[int, tuple[int, ...]] = {start: tuple(heads), empty: ()}
-    for head, (prev, ext) in zip(heads, phrases):
-        left = heads[prev - 1] if prev > 0 else empty
-        rules[head] = (left,) if ext is None else (left, ext)
-    return fact, _slg(rules, start, table)
-
-
-# ---------------------------------------------------------------------------
-# LZD
-
-
-class _Trie:
-    __slots__ = ("children", "ref")
-
-    def __init__(self):
-        self.children: dict[int, _Trie] = {}
-        self.ref = None  # ("sym", Symbol) or ("phrase", index)
+    rules = {start: tuple(rules), ref[0]: (), **rules}
+    return _factorization(starts, n), _slg(rules, start, table)
 
 
 def lzd(u, table: SymbolTable) -> tuple[Factorization, SLG]:
@@ -683,63 +684,31 @@ def lzd(u, table: SymbolTable) -> tuple[Factorization, SLG]:
     prefixes drawn from earlier phrases and single symbols."""
     u = _input_ids(u, table)
     n = len(u)
-    root = _Trie()
-
-    def insert(ids, ref) -> None:
-        node = root
-        for i in ids:
-            nxt = node.children.get(i)
-            if nxt is None:
-                nxt = _Trie()
-                node.children[i] = nxt
-            node = nxt
-        node.ref = ref
-
+    children: dict[tuple[int, int], int] = {}
+    ref: list[int | None] = [None]
     for i in set(u):
-        insert((i,), ("sym", table.by_id(i)))
-
-    def longest(pos: int):
-        node = root
-        best_ref, best_len = None, 0
-        i = pos
-        while i < n:
-            node = node.children.get(u[i])
-            if node is None:
-                break
-            i += 1
-            if node.ref is not None:
-                best_ref, best_len = node.ref, i - pos
-        return best_ref, best_len
-
-    phrases: list[tuple] = []  # (start, length, ref1, ref2)
+        _trie_insert(children, ref, (i,), i)
+    rules: dict[int, tuple[int, ...]] = {}
+    starts: list[int] = []
     pos = 0
     while pos < n:
-        ref1, len1 = longest(pos)
-        if ref1 is None:
-            raise CompressorError("unmatched symbol")  # unreachable by construction
-        ref2, len2 = (None, 0)
-        if pos + len1 < n:
-            ref2, len2 = longest(pos + len1)
-        total = len1 + len2
-        idx = len(phrases) + 1
-        insert(u[pos : pos + total], ("phrase", idx))
-        phrases.append((pos + 1, total, ref1, ref2))
-        pos += total
-
-    fact = Factorization(
-        tuple(Phrase(st, ln, ("parts", r1, r2)) for st, ln, r1, r2 in phrases)
-    )
-
-    heads = [table.fresh_nonterminal("D").id for _ in phrases]
-
-    def resolve(ref) -> int:
-        return ref[1].id if ref[0] == "sym" else heads[ref[1] - 1]
-
+        starts.append(pos)
+        # Every symbol is in the trie, so each part is at least one long.
+        first, length = _trie_longest(children, ref, u, pos)
+        end = pos + length
+        if end < n:
+            second, length = _trie_longest(children, ref, u, end)
+            body = (first, second)
+            end += length
+        else:
+            body = (first,)
+        head = table.fresh_nonterminal("D").id
+        _trie_insert(children, ref, u[pos:end], head)
+        rules[head] = body
+        pos = end
     start = table.fresh_nonterminal("S").id
-    rules: dict[int, tuple[int, ...]] = {start: tuple(heads)}
-    for head, (_, _, r1, r2) in zip(heads, phrases):
-        rules[head] = (resolve(r1),) if r2 is None else (resolve(r1), resolve(r2))
-    return fact, _slg(rules, start, table)
+    rules = {start: tuple(rules), **rules}
+    return _factorization(starts, n), _slg(rules, start, table)
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +718,8 @@ def lzd(u, table: SymbolTable) -> tuple[Factorization, SLG]:
 def is_irreducible(g: SLG) -> bool:
     """No repeated non-overlapping digram, no single-use secondary, and no
     two nonterminals sharing an expansion."""
-    concat = _concat(_rule_id_seqs(g))
-    positions: dict[tuple[int, int], list[int]] = {}
-    for p in range(len(concat) - 1):
-        if concat[p] >= 0 and concat[p + 1] >= 0:
-            positions.setdefault((concat[p], concat[p + 1]), []).append(p)
-    for plist in positions.values():
-        if len(plist) >= 2 and _greedy_disjoint(plist, 2) >= 2:
-            return False
+    if _pair_groups(_concat(_rule_id_seqs(g))):
+        return False
 
     uses = {head: 0 for head in g.rules}
     for body in g.rules.values():

@@ -261,10 +261,11 @@ def make_admissible(g: SLG) -> SLG:
 
     # Definitions without zero-length symbols, restricted to the reachable
     # part.  Nonterminals expanding to the empty string disappear entirely.
+    # Rule order, not set order, so that fresh names do not depend on hashing.
     reach = reachable_nonterminals(g)
     bodies: dict[Symbol, list[Symbol]] = {}
-    for head in reach:
-        if lens[head] == 0:
+    for head in g.rules:
+        if head not in reach or lens[head] == 0:
             continue
         bodies[head] = [
             s for s in g.rules[head] if s.is_terminal() or lens[s] > 0
@@ -417,6 +418,9 @@ def serialize(g: SLG) -> str:
 
 
 def _is_comment(stripped: str) -> bool:
+    """The comment rule of the grammar, CFG and alphabet formats: a stripped
+    line that is '#' alone or '# ' and text.  A sentinel such as '#_1'
+    starts with '#' but is no comment."""
     return stripped == "#" or stripped.startswith("# ")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_comment
 from .symbols import Symbol, SymbolTable
 
 DEFAULT_LENGTH_CAP = 3000
@@ -78,7 +79,7 @@ def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
     weight: dict[Symbol, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("# "):
+        if not line or _is_comment(line):
             continue
         try:
             pair_part, w_part = line.rsplit(":", 1)

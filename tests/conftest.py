@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from slglab import SLG
+from slglab.compressors import _input_ids, _online_expansion, _OnlineGrammar
 from slglab.symbols import SymbolTable
 
 
@@ -20,6 +21,11 @@ def g0(table):
     a, b = table.terminal("a"), table.terminal("b")
     s, n1 = table.nonterminal("S"), table.nonterminal("N1")
     return SLG({s: (n1, n1), n1: (a, b)}, s, table)
+
+
+def interned(table):
+    """The table's symbols in intern order."""
+    return [(s.id, s.kind, s.display) for s in table._by_display.values()]
 
 
 # -- oracles ------------------------------------------------------------------
@@ -156,6 +162,69 @@ def run_global_reference(u, strategy, table):
     by_id = table.by_id
     rules = {by_id(h): tuple(map(by_id, b)) for h, b in zip(heads, bodies)}
     return SLG(rules, by_id(heads[0]), table)
+
+
+def sequential_reference(u, table: SymbolTable) -> SLG:
+    """Online longest-known-prefix parsing with repeated-pair elimination
+    and single-use inlining after every appended symbol."""
+    u = _input_ids(u, table)
+    st = _OnlineGrammar(table, "Q")
+    exps: dict[int, tuple[int, ...]] = {}  # secondary expansions
+    by_len: list[int] = []  # secondaries sorted by decreasing expansion length
+    pos, n = 0, len(u)
+    while pos < n:
+        best: int | None = None
+        for head in by_len:
+            e = exps[head]
+            if pos + len(e) <= n and u[pos] == e[0] and u[pos : pos + len(e)] == e:
+                best = head
+                break
+        if best is not None:
+            st.start_body.append(best)
+            pos += len(exps[best])
+        else:
+            st.start_body.append(u[pos])
+            pos += 1
+        # Normalize: at most one repeated pair can exist, then at most one
+        # single-use nonterminal; loop defensively until quiescent.
+        while True:
+            d = st.find_repeated_digram()
+            if d is not None:
+                head = st.new_rule(list(d))
+                exps[head] = _online_expansion(d, exps)
+                st.replace_digram(d, head)
+                by_len.append(head)
+                by_len.sort(key=lambda h: -len(exps[h]))
+                continue
+            if st.inline_single_uses():
+                continue
+            break
+        for head in list(exps):
+            if head not in st.sec:
+                del exps[head]
+        by_len = [h for h in by_len if h in exps]
+    return st.to_slg()
+
+
+def lzd_parts_reference(u):
+    """The LZD parse by its definition, as the part lengths (first, second)
+    of each phrase, second 0 when the input ends after the first part.  A
+    part is the longest prefix of the rest that is an earlier phrase or a
+    single symbol of the input."""
+    u = tuple(u)
+    known = {(s,) for s in u}
+
+    def longest(p):
+        return max(k for k in range(1, len(u) - p + 1) if u[p : p + k] in known)
+
+    parts, pos = [], 0
+    while pos < len(u):
+        first = longest(pos)
+        second = longest(pos + first) if pos + first < len(u) else 0
+        parts.append((first, second))
+        known.add(u[pos : pos + first + second])
+        pos += first + second
+    return parts
 
 
 def brute_dyadic_distinct(u):

@@ -1,8 +1,12 @@
 """Command-line behavior: flag routing, file formats, exit codes, and the
 byte-determinism of verification reports."""
+import re
+
 import pytest
 
 from slglab.cli import main
+from slglab.rna import parse_matched_alphabet
+from slglab.symbols import SymbolTable
 
 G0_TEXT = "S -> N1 N1\nN1 -> a b\n"
 
@@ -22,7 +26,8 @@ def test_compress_lz78_stats(tmp_path, capsys):
                  "--out", str(out), "--stats"])
     assert code == 0
     line = capsys.readouterr().out.strip()
-    assert "size=9" in line and "explen=4" in line
+    assert re.fullmatch(r"alg=lz78 size=9 nonterms=5 explen=4 totalexp=8 "
+                        r"height=3 elapsed=\d+\.\d{3}s", line)
     assert "->" in out.read_text()
 
 
@@ -138,6 +143,20 @@ def test_boost_gamma_with_alphabet(tmp_path, g0_file):
     assert main(["boost", "--kind", "gamma", "--grammar", g0_file,
                  "--alphabet", str(alpha_file), "--out", prefix]) == 0
     assert "c0=9" in (tmp_path / "gam.meta").read_text()
+
+
+def test_boost_alphabet_file_comments(tmp_path, g0_file):
+    # '#' alone and '# text' are comments, as in grammar files.
+    alpha_file = tmp_path / "al.txt"
+    alpha_file.write_text("#\n# pairs\na ~ a' : 2\n#\nb ~ b' : 1\n")
+    prefix = str(tmp_path / "ra")
+    assert main(["boost", "--kind", "rna-alpha", "--grammar", g0_file,
+                 "--alphabet", str(alpha_file), "--out", prefix]) == 0
+    meta = (tmp_path / "ra.meta").read_text()
+    assert "alphabet:\na ~ a' : 2\nb ~ b' : 1\n" in meta
+    # a sentinel line starts with '#' and is still a pair
+    al = parse_matched_alphabet("#\n#_1 ~ #'_1 : 3\n", SymbolTable())
+    assert [(s.display, al.weight[s]) for s in al.symbols] == [("#_1", 3), ("#'_1", 3)]
 
 
 def test_boost_rna_kinds_and_raw(tmp_path, g0_file, capsys):

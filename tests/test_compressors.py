@@ -33,7 +33,14 @@ from slglab import (
 from slglab.generate import random_admissible_slg, random_matched_alphabet, random_string
 from slglab.symbols import SymbolTable
 
-from conftest import brute_dyadic_distinct, brute_maximal_strings, run_global_reference
+from conftest import (
+    brute_dyadic_distinct,
+    brute_maximal_strings,
+    interned,
+    lzd_parts_reference,
+    run_global_reference,
+    sequential_reference,
+)
 
 
 def _single_rule(table, text):
@@ -177,6 +184,31 @@ def test_sequential_examples(table):
     assert expand_text(g) == "abab"
 
 
+def _sequential_input(kind, seed, t):
+    """A seeded random text, or the alpha, beta or rna-beta string of a
+    seeded random grammar, over table t."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_string(rng, rng.randint(1, 300), rng.randint(1, 16), t)
+    g = random_admissible_slg(rng, rng.randint(1, 5), 2, 30, t)
+    if kind == "alpha":
+        return alpha(g).text
+    if kind == "beta":
+        return beta(g).text
+    return rna_beta(g, random_matched_alphabet(rng, 2, 3, t)).text
+
+
+@pytest.mark.parametrize(
+    "kind, cases", [("random", 100), ("alpha", 50), ("beta", 50), ("rna-beta", 50)])
+def test_sequential_matches_reference(kind, cases):
+    for seed in range(cases):
+        t1, t2 = SymbolTable(), SymbolTable()
+        got = serialize(sequential(_sequential_input(kind, seed, t1), t1))
+        want = serialize(sequential_reference(_sequential_input(kind, seed, t2), t2))
+        assert got == want, seed
+        assert interned(t1) == interned(t2), seed
+
+
 def test_sequitur_examples(table):
     g = sequitur("ab", table)
     assert g.size == 2
@@ -237,6 +269,19 @@ def test_lzd_on_beta_string(g0, table):
     assert len(fact) == 6
     assert g.size == 18
     assert expand(g, g.start) == w
+
+
+def test_lzd_matches_definition():
+    rng = random.Random(67)
+    for _ in range(200):
+        t = SymbolTable()
+        u = random_string(rng, rng.randint(1, 40), rng.randint(1, 4), t)
+        fact, g = lzd(u, t)
+        parts = lzd_parts_reference(u)
+        assert fact.check_concat(u)
+        assert [p.length for p in fact.phrases] == [a + b for a, b in parts]
+        got = [tuple(len(expand(g, s)) for s in g.rules[h]) for h in g.rules[g.start]]
+        assert got == [(a,) if b == 0 else (a, b) for a, b in parts]
 
 
 def test_factorizations_concatenate():

@@ -1,6 +1,6 @@
 """Property tests: text-format round trips of grammars, CFGs and matched
 alphabets, the laws of `make_admissible` and `is_isomorphic`, and the global
-compressors against their by-definition reference.  Examples are
+compressors and Sequential against their references.  Examples are
 derandomized and no example database is kept, so every run draws the same
 cases; Hypothesis keeps its on-disk caches in the system temporary
 directory, not in the working tree."""
@@ -20,13 +20,14 @@ from slglab import (
     is_isomorphic,
     make_admissible,
     run_global,
+    sequential,
     serialize,
 )
 from slglab.cfg import CFG, parse_cfg, serialize_cfg
 from slglab.rna import MatchedAlphabet, parse_matched_alphabet
 from slglab.symbols import SymbolTable
 
-from conftest import run_global_reference
+from conftest import interned, run_global_reference, sequential_reference
 
 # Set at import: Hypothesis writes its cache while pytest is still collecting.
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "slglab-hypothesis"))
@@ -177,3 +178,12 @@ def test_run_global_matches_reference(text, strategy):
     t1, t2 = SymbolTable(), SymbolTable()
     assert serialize(run_global(text, strategy, t1)) == serialize(
         run_global_reference(text, strategy, t2))
+
+
+@PROPERTY
+@given(st.integers(1, 16).flatmap(
+    lambda k: st.text("abcdefghijklmnop"[:k], min_size=1, max_size=300)))
+def test_sequential_matches_reference(text):
+    t1, t2 = SymbolTable(), SymbolTable()
+    assert serialize(sequential(text, t1)) == serialize(sequential_reference(text, t2))
+    assert interned(t1) == interned(t2)

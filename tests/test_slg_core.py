@@ -1,8 +1,12 @@
 """Grammar model: expansion, measurements, conversions, and the text format."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import slglab
 from slglab import (
     SLG,
     GrammarError,
@@ -92,6 +96,28 @@ def test_make_admissible_rejects_short(table):
     s = table.nonterminal("S6")
     with pytest.raises(GrammarError, match="expansion too short"):
         make_admissible(SLG({s: (a,)}, s, table))
+
+
+def test_make_admissible_does_not_depend_on_the_hash_seed():
+    # Symbols hash their display strings, so set order changes between
+    # processes; fresh names and rule order must not.
+    src = os.path.dirname(os.path.dirname(slglab.__file__))
+    code = (
+        "import sys\n"
+        "from slglab import deserialize, make_admissible, serialize\n"
+        "from slglab.symbols import SymbolTable\n"
+        "g = deserialize(sys.stdin.read(), SymbolTable())\n"
+        "print(serialize(make_admissible(g)), end='')\n"
+    )
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             input="S -> A B c\nA -> a b a\nB -> A A\n",
+                             capture_output=True, text=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("S -> ")
 
 
 def test_make_admissible_random(table):
