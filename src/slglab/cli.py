@@ -12,12 +12,11 @@ import sys
 import time
 
 from . import boost, verify
-from . import cfg as cfgmod
 from . import compressors as comp
-from .rna import MatchedAlphabet, RnaError, parse_matched_alphabet
+from .rna import MatchedAlphabet, parse_matched_alphabet
 from .core import (
-    GrammarError,
     SLG,
+    _is_comment,
     deserialize,
     is_admissible,
     make_admissible,
@@ -106,9 +105,9 @@ def _load_points(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [
-                (line_no, ln.strip())
-                for line_no, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.startswith("#")
+                (line_no, ln)
+                for line_no, raw in enumerate(fh, start=1)
+                if (ln := raw.strip()) and not _is_comment(ln)
             ]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
@@ -270,9 +269,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, GrammarError, cfgmod.CfgError, RnaError,
-            boost.BoostError, comp.CompressorError, ValueError,
-            OverflowError) as exc:
+    # Every error class of the library subclasses ValueError.
+    except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,7 +49,7 @@ def _input_ids(u, table: SymbolTable) -> tuple[int, ...]:
         raise CompressorError("empty input")
     # One check per distinct object: a table interns each symbol once.
     for s in {id(s): s for s in u}.values():
-        if table.get(s.display) is not s:
+        if not table.owns(s):
             raise GrammarError(f"symbol {s.display} is not interned in this table")
     return tuple(s.id for s in u)
 
@@ -436,20 +436,14 @@ class _OnlineGrammar:
         yield from self.sec.values()
 
     def find_repeated_digram(self) -> tuple[int, int] | None:
-        """First digram (in scan order) with two non-overlapping occurrences."""
-        counts: dict[tuple[int, int], int] = {}
-        last: dict[tuple[int, int], tuple[int, int]] = {}
-        for ridx, body in enumerate(self.all_bodies()):
-            for i in range(len(body) - 1):
-                d = (body[i], body[i + 1])
-                prev = last.get(d)
-                if prev is not None and prev[0] == ridx and i < prev[1] + 2:
-                    continue  # overlaps the occurrence already counted
-                last[d] = (ridx, i)
-                counts[d] = counts.get(d, 0) + 1
-                if counts[d] == 2:
-                    return d
-        return None
+        """A digram with two non-overlapping occurrences, or None.  Sequential
+        keeps its grammar irreducible, so there is at most one."""
+        concat = _concat(self.all_bodies())
+        groups = _pair_groups(concat)
+        if not groups:
+            return None
+        p = groups[0][0][0]
+        return concat[p], concat[p + 1]
 
     def replace_digram(self, d: tuple[int, int], new: int) -> None:
         self.start_body[:] = _replace_all(self.start_body, d, new)

@@ -40,8 +40,9 @@ class SLG:
 
     `rules` maps each nonterminal to its definition (a tuple of symbols) and
     `start` names the starting nonterminal.  Construction validates the SLG
-    shape: every nonterminal on a right-hand side has a rule, and the rule
-    dependencies admit a topological order.
+    shape: every symbol is interned in `table`, every nonterminal on a
+    right-hand side has a rule, and the rule dependencies admit a
+    topological order.
     """
 
     __slots__ = ("table", "rules", "start", "_topo", "_lens", "_heights")
@@ -55,74 +56,68 @@ class SLG:
         self.table = table
         self.rules = {head: tuple(body) for head, body in rules.items()}
         self.start = start
-        self._topo: tuple[Symbol, ...] | None = None
         self._lens: dict[Symbol, int] | None = None
         self._heights: dict[Symbol, int] | None = None
-        self._validate()
+        self._topo = self._walk()
 
-    def _validate(self) -> None:
-        if not self.start.is_nonterminal():
+    def _walk(self) -> tuple[Symbol, ...]:
+        """Check the SLG shape; return the children-before-parents order.
+
+        One depth-first walk from every rule, in rule order, meets each
+        distinct symbol object once.  Its state is keyed by `id()`, so a
+        symbol of another table that equals an owned one by value is met
+        and refused too; the ids stay valid because the rules hold every
+        symbol.
+        """
+        rules, owns, start = self.rules, self.table.owns, self.start
+        if not start.is_nonterminal():
             raise GrammarError("start symbol must be a nonterminal")
-        if self.start not in self.rules:
-            raise GrammarError(f"start symbol {self.start.display} has no rule")
-        for head, body in self.rules.items():
-            if not head.is_nonterminal():
-                raise GrammarError(f"rule head {head.display} is not a nonterminal")
-            if self.table.get(head.display) is not head:
-                raise GrammarError(
-                    f"symbol {head.display} is not interned in this table"
-                )
-            for sym in body:
-                if sym.is_nonterminal() and sym not in self.rules:
-                    raise GrammarError(
-                        f"nonterminal {sym.display} used in rhs({head.display}) "
-                        "has no rule"
-                    )
-                if self.table.get(sym.display) is not sym:
-                    raise GrammarError(
-                        f"symbol {sym.display} is not interned in this table"
-                    )
-        self._topo = self._topological()
-
-    def _topological(self) -> tuple[Symbol, ...]:
-        """Children-before-parents order; raises on a rule cycle."""
+        if start not in rules:
+            raise GrammarError(f"start symbol {start.display} has no rule")
+        seen: dict[int, bool] = {}  # False while on the stack, True once done
         order: list[Symbol] = []
-        state: dict[Symbol, int] = {}  # 1 = on stack, 2 = done
-        for root in self.rules:
-            if state.get(root) == 2:
+        for root in rules:
+            if not root.is_nonterminal():
+                raise GrammarError(f"rule head {root.display} is not a nonterminal")
+            if id(root) in seen:
                 continue
-            stack: list[tuple[Symbol, int]] = [(root, 0)]
-            state[root] = 1
+            if not owns(root):
+                raise GrammarError(f"symbol {root.display} is not interned in this table")
+            seen[id(root)] = False
+            stack = [(root, iter(rules[root]))]
             while stack:
-                node, idx = stack[-1]
-                body = self.rules[node]
-                advanced = False
-                while idx < len(body):
-                    child = body[idx]
-                    idx += 1
-                    if child.is_nonterminal():
-                        st = state.get(child)
-                        if st == 1:
-                            raise GrammarError(
-                                f"cycle through nonterminal {child.display}"
-                            )
-                        if st != 2:
-                            stack[-1] = (node, idx)
-                            stack.append((child, 0))
-                            state[child] = 1
-                            advanced = True
-                            break
-                if advanced:
-                    continue
-                stack.pop()
-                state[node] = 2
-                order.append(node)
+                node, rest = stack[-1]
+                for sym in rest:
+                    done = seen.get(id(sym))
+                    if done:
+                        continue
+                    if done is not None:
+                        raise GrammarError(f"cycle through nonterminal {sym.display}")
+                    nonterminal = sym.is_nonterminal()
+                    if nonterminal and sym not in rules:
+                        # name its first user in rule order, not in walk order
+                        user = next(h for h, body in rules.items() if sym in body)
+                        raise GrammarError(
+                            f"nonterminal {sym.display} used in rhs({user.display}) "
+                            "has no rule"
+                        )
+                    if not owns(sym):
+                        raise GrammarError(
+                            f"symbol {sym.display} is not interned in this table"
+                        )
+                    seen[id(sym)] = not nonterminal
+                    if nonterminal:
+                        stack.append((sym, iter(rules[sym])))
+                        break
+                else:
+                    stack.pop()
+                    seen[id(node)] = True
+                    order.append(node)
         return tuple(order)
 
     # -- derived measurements, cached lazily ------------------------------
 
     def topological(self) -> tuple[Symbol, ...]:
-        assert self._topo is not None
         return self._topo
 
     def expansion_lengths(self) -> dict[Symbol, int]:

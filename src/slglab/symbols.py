@@ -140,6 +140,13 @@ class SymbolTable:
     def get(self, display: str) -> Symbol | None:
         return self._by_display.get(display)
 
+    def owns(self, sym: Symbol) -> bool:
+        """Whether `sym` is this table's own symbol object, not one equal
+        to it by value from another table."""
+        return self._by_id.get(sym.id) is sym
+
     def chars(self, text: str) -> tuple[Symbol, ...]:
-        """Intern every character of `text` as a terminal."""
-        return tuple(self.terminal(ch) for ch in text)
+        """Intern every character of `text` as a terminal, each distinct
+        one once and in order of first appearance."""
+        syms = {ch: self.terminal(ch) for ch in dict.fromkeys(text)}
+        return tuple(map(syms.__getitem__, text))

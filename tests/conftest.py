@@ -1,13 +1,25 @@
-"""Shared fixtures and the independent oracles the tests check against."""
+"""Shared fixtures, the settings of the property tests, and the independent
+oracles the tests check against."""
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from slglab import SLG
 from slglab.compressors import _input_ids, _online_expansion, _OnlineGrammar
 from slglab.symbols import SymbolTable
+
+# Set at import: Hypothesis writes its cache while pytest is still collecting,
+# and keeps it in the system temporary directory, not in the working tree.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "slglab-hypothesis"))
+
+# Property tests draw the same cases on every run and keep no example database.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 @pytest.fixture()
@@ -164,6 +176,23 @@ def run_global_reference(u, strategy, table):
     return SLG(rules, by_id(heads[0]), table)
 
 
+def _first_repeated_digram(bodies):
+    """The first digram, in scan order, to reach two non-overlapping
+    occurrences in the bodies."""
+    counts, last = {}, {}
+    for ridx, body in enumerate(bodies):
+        for i in range(len(body) - 1):
+            d = (body[i], body[i + 1])
+            prev = last.get(d)
+            if prev is not None and prev[0] == ridx and i < prev[1] + 2:
+                continue  # overlaps the occurrence already counted
+            last[d] = (ridx, i)
+            counts[d] = counts.get(d, 0) + 1
+            if counts[d] == 2:
+                return d
+    return None
+
+
 def sequential_reference(u, table: SymbolTable) -> SLG:
     """Online longest-known-prefix parsing with repeated-pair elimination
     and single-use inlining after every appended symbol."""
@@ -188,7 +217,7 @@ def sequential_reference(u, table: SymbolTable) -> SLG:
         # Normalize: at most one repeated pair can exist, then at most one
         # single-use nonterminal; loop defensively until quiescent.
         while True:
-            d = st.find_repeated_digram()
+            d = _first_repeated_digram(st.all_bodies())
             if d is not None:
                 head = st.new_rule(list(d))
                 exps[head] = _online_expansion(d, exps)
@@ -204,6 +233,39 @@ def sequential_reference(u, table: SymbolTable) -> SLG:
                 del exps[head]
         by_len = [h for h in by_len if h in exps]
     return st.to_slg()
+
+
+def slg_order_reference(rules, start, table):
+    """The children-before-parents order of the SLG with these rules, or None
+    when they do not form one over `table`: a head or body symbol that is not
+    the table's own object, a start or rule head that is no nonterminal, a
+    start or body nonterminal without a rule, or a cycle.  The order is the
+    depth-first post-order from each head in rule order, children in body
+    order."""
+    symbols = [*rules, *(s for body in rules.values() for s in body)]
+    if any(table.get(s.display) is not s for s in symbols):
+        return None
+    if not start.is_nonterminal() or start not in rules:
+        return None
+    if not all(h.is_nonterminal() for h in rules):
+        return None
+    if any(s.is_nonterminal() and s not in rules for s in symbols):
+        return None
+    order, done, open_ = [], set(), set()
+
+    def visit(n):  # recursive: small rule maps only
+        if n in done:
+            return True
+        if n in open_:
+            return False
+        open_.add(n)
+        if not all(visit(s) for s in rules[n] if s.is_nonterminal()):
+            return False
+        done.add(n)
+        order.append(n)
+        return True
+
+    return tuple(order) if all(visit(h) for h in rules) else None
 
 
 def lzd_parts_reference(u):

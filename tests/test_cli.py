@@ -1,12 +1,23 @@
 """Command-line behavior: flag routing, file formats, exit codes, and the
 byte-determinism of verification reports."""
+import importlib
+import io
+import pkgutil
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slglab.cli import main
+import slglab
+from slglab.cli import _ALGORITHMS, CliError, main
 from slglab.rna import parse_matched_alphabet
 from slglab.symbols import SymbolTable
+
+from conftest import PROPERTY
 
 G0_TEXT = "S -> N1 N1\nN1 -> a b\n"
 
@@ -113,6 +124,21 @@ def test_boost_answer_rejects_bad_points(tmp_path, capsys, content, message):
                  "--out", prefix]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ans.text").exists()
+
+
+def test_point_file_comments(tmp_path, capsys):
+    # The comment rule of grammar files: '#' alone or '# ' and text, after
+    # stripping the line.
+    pts = tmp_path / "p.txt"
+    pts.write_text("m 2\n  # indented\n#\n1 1\n2 2\n")
+    prefix = str(tmp_path / "ans")
+    assert main(["boost", "--kind", "answer", "--points", str(pts),
+                 "--out", prefix]) == 0
+    assert (tmp_path / "ans.text").read_text().strip() == "1110"
+    pts.write_text("m 2\n1 1\n#x\n2 2\n")
+    assert main(["boost", "--kind", "answer", "--points", str(pts),
+                 "--out", prefix]) == 2
+    assert capsys.readouterr().err == "error: line 3: bad point line '#x'\n"
 
 
 @pytest.mark.parametrize("kind", ["alpha", "beta"])
@@ -228,3 +254,97 @@ def test_verify_rejects_counts_below_one(capsys, flag, value):
 def test_usage_error_exit_code():
     assert main(["verify", "--suite", "nosuch"]) == 2
     assert main(["compress"]) == 2
+
+
+def _library_errors():
+    """Every exception class defined in a library module, the CLI's own
+    `CliError` aside."""
+    found = []
+    for info in pkgutil.iter_modules(slglab.__path__):
+        mod = importlib.import_module(f"slglab.{info.name}")
+        found += [
+            obj for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__ and obj is not CliError
+        ]
+    return found
+
+
+def test_library_errors_are_found():
+    assert {c.__name__ for c in _library_errors()} >= {
+        "BoostError", "CfgError", "CompressorError", "GrammarError",
+        "GrammarParseError", "RnaError", "SymbolError",
+    }
+
+
+@pytest.mark.parametrize("error", _library_errors(), ids=lambda c: c.__name__)
+def test_library_errors_are_value_errors(error):
+    # `main` turns a ValueError into exit code 2; any other class would end
+    # in a traceback.
+    assert issubclass(error, ValueError)
+
+
+_HEADS = ["S", "A", "B", "N1"]
+_LETTERS = ["a", "b", "c'", "$_1", "#_2", "#'L_1"]
+_NUMBERS = ["0", "1", "2", "3", "-1"]
+_TOKENS = _HEADS + _LETTERS + _NUMBERS + ["->", "~", ":", "#", "# c", "m"]
+
+
+def _line(*parts):
+    return st.tuples(*parts).map(" ".join)
+
+
+@st.composite
+def _file(draw, lines):
+    """The drawn lines, each indented or not, one in seven swapped for loose
+    tokens from the whole pool (comments among them)."""
+    out = []
+    for text in draw(lines):
+        if draw(st.sampled_from([False] * 6 + [True])):
+            text = " ".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=5)))
+        out.append(draw(st.sampled_from(["", "", "  ", "\t"])) + text + "\n")
+    return "".join(out)
+
+
+def _some(items, line):
+    """`line(item, rest)` for each item of a prefix of a permutation of
+    `items`, with `rest` the items of the prefix after it."""
+    def lines(perm, k):
+        return st.tuples(*(line(x, perm[i + 1 : k]) for i, x in enumerate(perm[:k])))
+    return st.tuples(st.permutations(items), st.integers(1, len(items))).flatmap(
+        lambda pk: lines(*pk).map(list))
+
+
+# Rule bodies mostly use the heads defined after theirs, so most grammars
+# are acyclic; a head may still name any head, or none be defined at all.
+_GRAMMARS = _file(_some(_HEADS, lambda h, rest: _line(
+    st.just(h), st.just("->"), st.lists(st.sampled_from(
+        _LETTERS + list(rest) * 3 + _HEADS), min_size=2, max_size=3).map(" ".join))))
+_ALPHABETS = _file(_some(range(3), lambda i, _: _line(
+    st.just(_LETTERS[2 * i]), st.just("~"),
+    st.sampled_from([_LETTERS[2 * i + 1]] * 6 + _LETTERS), st.just(":"),
+    st.sampled_from(["1", "2"] * 4 + _NUMBERS))))
+_POINTS = _file(st.tuples(
+    st.lists(_line(st.just("m"), st.sampled_from(_NUMBERS)), max_size=1),
+    _some(["1", "2", "3"], lambda y, _: _line(st.sampled_from(["1", "2", "3"]), st.just(y))),
+).map(lambda parts: parts[0] + parts[1]))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_GRAMMARS, _ALPHABETS, _POINTS, st.sampled_from(sorted(_ALGORITHMS)))
+def test_cli_fuzz_exits_0_or_2(grammar, alphabet, points, alg):
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        paths = {}
+        for name, text in (("g", grammar), ("al", alphabet), ("p", points),
+                           ("in", "".join(grammar.split()))):
+            paths[name] = str(Path(tmp) / name)
+            Path(paths[name]).write_text(text)
+        out = str(Path(tmp) / "out")
+        for kind in ("alpha", "beta", "gamma", "rna-alpha", "rna-beta", "answer"):
+            for extra in ([], ["--admissify"]):
+                assert main(["boost", "--kind", kind, "--grammar", paths["g"],
+                             "--alphabet", paths["al"], "--points", paths["p"],
+                             "--out", out, *extra]) in (0, 2)
+        assert main(["compress", "--alg", alg, "--in", paths["in"],
+                     "--out", out]) in (0, 2)

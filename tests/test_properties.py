@@ -2,14 +2,9 @@
 alphabets, the laws of `make_admissible` and `is_isomorphic`, and the global
 compressors and Sequential against their references.  Examples are
 derandomized and no example database is kept, so every run draws the same
-cases; Hypothesis keeps its on-disk caches in the system temporary
-directory, not in the working tree."""
-import os
-import tempfile
-
-from hypothesis import given, settings
+cases (`PROPERTY` in `conftest.py`)."""
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from slglab import (
     SLG,
@@ -27,12 +22,7 @@ from slglab.cfg import CFG, parse_cfg, serialize_cfg
 from slglab.rna import MatchedAlphabet, parse_matched_alphabet
 from slglab.symbols import SymbolTable
 
-from conftest import interned, run_global_reference, sequential_reference
-
-# Set at import: Hypothesis writes its cache while pytest is still collecting.
-set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "slglab-hypothesis"))
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+from conftest import PROPERTY, interned, run_global_reference, sequential_reference
 
 _LETTERS = ["a", "b", "c", "x1", "$_1", "#'R_2"]
 

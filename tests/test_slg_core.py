@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import slglab
 from slglab import (
@@ -23,7 +25,9 @@ from slglab import (
     stats,
 )
 from slglab.generate import random_admissible_slg, random_slg
-from slglab.symbols import SentinelFamily, SymbolTable
+from slglab.symbols import SentinelFamily, SymbolError, SymbolTable
+
+from conftest import PROPERTY, interned, slg_order_reference
 
 
 def test_expand_examples(table, g0):
@@ -258,6 +262,78 @@ def test_symbols_must_come_from_the_grammar_table(table):
     s = table.nonterminal("W3")
     with pytest.raises(GrammarError, match="not interned in this table"):
         SLG({s: (a_foreign, a_foreign)}, s, table)
+
+
+def test_terminal_head_met_first_in_a_body_is_refused(table):
+    # The walk meets `a` in W4's body before it reaches a's rule.
+    a, b = table.terminal("a"), table.terminal("b")
+    s = table.nonterminal("W4")
+    with pytest.raises(GrammarError, match="rule head a is not a nonterminal"):
+        SLG({s: (a, b), a: (b, b)}, s, table)
+
+
+def test_foreign_symbol_in_an_unreachable_rule_is_refused(table):
+    a = table.terminal("a")
+    s, u = table.nonterminal("W5"), table.nonterminal("W6")
+    c_foreign = SymbolTable().terminal("c")
+    with pytest.raises(GrammarError, match="symbol c is not interned"):
+        SLG({s: (a, a), u: (a, c_foreign)}, s, table)
+
+
+def test_value_equal_symbol_of_another_table_is_refused():
+    # Same names interned in the same order: equal by value, not the same
+    # objects.  The owned `a` is met first, then its twin.
+    t1, t2 = SymbolTable(), SymbolTable()
+    a1, s1 = t1.terminal("a"), t1.nonterminal("S")
+    a2, s2 = t2.terminal("a"), t2.nonterminal("S")
+    assert (a1, s1) == (a2, s2) and a1 is not a2
+    assert t1.owns(a1) and not t1.owns(a2)
+    with pytest.raises(GrammarError, match="symbol a is not interned"):
+        SLG({s1: (a1, a2)}, s1, t1)
+    with pytest.raises(GrammarError, match="symbol S is not interned"):
+        SLG({s2: (a1, a1)}, s1, t1)
+
+
+@st.composite
+def rule_maps(draw):
+    """Rules over a table, mostly acyclic and closed, with terminal heads,
+    missing rules, cycles and value-equal twins from another table mixed in
+    now and then."""
+    own, other = SymbolTable(), SymbolTable()
+    names = ["a", "b", "N0", "N1", "N2", "N3", "N4"]
+    mine = [own.terminal(x) if x.islower() else own.nonterminal(x) for x in names]
+    twins = [other.terminal(x) if x.islower() else other.nonterminal(x) for x in names]
+    rare = mine + twins
+    heads = draw(st.lists(st.sampled_from(mine[2:] * 20 + rare),
+                          min_size=1, max_size=5, unique_by=id))
+    rules = {}
+    for i, head in enumerate(heads):
+        later = mine[:2] + heads[i + 1:]  # no cycle through these
+        body = draw(st.lists(st.sampled_from(later * 20 + rare), max_size=4))
+        rules[head] = tuple(body)
+    order = draw(st.permutations(list(rules.items())))
+    return dict(order), draw(st.sampled_from(heads * 20 + rare)), own
+
+
+@PROPERTY
+@given(rule_maps())
+def test_walk_matches_reference(case):
+    rules, start, table = case
+    want = slg_order_reference(rules, start, table)
+    if want is None:
+        with pytest.raises(GrammarError):
+            SLG(rules, start, table)
+    else:
+        assert SLG(rules, start, table).topological() == want
+
+
+def test_chars_interns_in_order_of_first_appearance():
+    t = SymbolTable()
+    b, a, a2, b2 = t.chars("baab")
+    assert (a, b) == (a2, b2) and a is a2 and b is b2
+    assert interned(t) == [(0, "terminal", "b"), (1, "terminal", "a")]
+    with pytest.raises(SymbolError, match="bad symbol display ' '"):
+        t.chars("a b")
 
 
 def test_expansion_length_overflow_is_an_error(table):
