@@ -264,26 +264,16 @@ def beta(g: SLG) -> BoostResult:
     gp, n0 = _beta_grammar(g, order, table)
     _full = expand_all(gp)
     exp0 = {i: _full[n0[i - 1]] for i in range(1, len(order) + 1)}
+    terms = g.terminals()
     w: list[Symbol] = []
-    offsets: dict[int, int] = {}
+    position_map: dict[int, tuple[int, ...]] = {}
     for i in range(1, len(order) + 1):
-        offsets[i] = len(w)
+        # exp(N_i)[j] sits at the j-th of the input's own terminals in the
+        # first copy of its block: the sentinels around them are fresh.
+        position_map[i] = tuple(
+            len(w) + p for p, s in enumerate(exp0[i], start=1) if s in terms)
         w += exp0[i]
         w += exp0[i]
-
-    # Positions of exp(N_i)[j] inside the first copy of its beta block.
-    lens = g.expansion_lengths()
-    idx_of = {n: i for i, n in enumerate(order, start=1)}
-    local: dict[int, list[int]] = {}
-    for i, n in enumerate(order, start=1):
-        a, b = g.rules[n]
-        left = local[idx_of[a]] if a.is_nonterminal() else [1]
-        shift = (3 * (lens[a] if a.is_nonterminal() else 1) - 2) + 1
-        right = local[idx_of[b]] if b.is_nonterminal() else [1]
-        local[i] = left + [shift + p for p in right]
-    position_map = {
-        i: tuple(offsets[i] + p for p in local[i]) for i in local
-    }
     return BoostResult(
         text=tuple(w),
         ordering=order,

@@ -116,7 +116,12 @@ def _load_points(path: str):
     for line_no, ln in lines:
         try:
             if ln.startswith("m "):
-                m = int(ln.split()[1])
+                if m is not None:
+                    raise CliError(f"line {line_no}: repeated m header")
+                _, value = ln.split()
+                m = int(value)
+                if m < 1:
+                    raise CliError(f"line {line_no}: m must be at least 1, got {m}")
                 continue
             x, y = ln.split()
             points.append((int(x), int(y)))

@@ -20,6 +20,19 @@ the smaller id sequence:
   occurrences, found by a galloping search over its length.
 - Greedy takes the largest f(L - 1) - L over all repeated strings of
   length L, grown level by level from the pairs.
+
+Sequential and Sequitur share one driver and Sequitur's three reductions
+(Nevill-Manning and Witten, JAIR 1997), applied to quiescence after each
+append to the start rule: a suffix equal to a two-symbol rule body becomes
+that rule, a suffix digram that repeats gets a new rule, and a rule used
+once is inlined.  They differ only in what they append.  Sequitur appends
+the next input symbol.  Sequential appends the longest live secondary whose
+expansion the rest of the input starts with (Kieffer and Yang, IEEE Trans.
+IT 2000), or the next symbol if there is none.  Its grammar is irreducible
+before each append, and an append adds one digram, at the suffix, so the
+suffix digram is the only one that can repeat.  The first reduction does
+not fire there: a rule whose body is the suffix would already have been
+taken by the parse.
 """
 from __future__ import annotations
 
@@ -413,37 +426,37 @@ def longest_match(u, table: SymbolTable) -> SLG:
 
 
 # ---------------------------------------------------------------------------
-# Sequential
+# Sequential and Sequitur
 
 
 class _OnlineGrammar:
-    """Mutable working state shared by Sequential and Sequitur, on ids."""
+    """Mutable working state of an online compressor, on ids: the start
+    rule, the secondary rules in creation order and a trie of the
+    secondaries' expansions, fed with each new rule when `feed` is set."""
 
-    def __init__(self, table: SymbolTable, prefix: str):
+    def __init__(self, table: SymbolTable, prefix: str, feed: bool):
         self.table = table
         self.start = table.fresh_nonterminal("S").id
         self.start_body: list[int] = []
-        self.sec: dict[int, list[int]] = {}  # secondary rules, in creation order
+        self.sec: dict[int, list[int]] = {}
         self.prefix = prefix
+        self.exps: dict[int, tuple[int, ...]] | None = {} if feed else None
+        self.children: dict[tuple[int, int], int] = {}
+        self.ref: list[int | None] = [None]
 
     def new_rule(self, body: list[int]) -> int:
         head = self.table.fresh_nonterminal(self.prefix).id
         self.sec[head] = body
+        if self.exps is not None:
+            # Now, while `body` is the digram: a later rule can rewrite it.
+            exps = self.exps
+            exp = exps[head] = tuple(x for s in body for x in exps.get(s, (s,)))
+            _trie_insert(self.children, self.ref, exp, head)
         return head
 
     def all_bodies(self):
         yield self.start_body
         yield from self.sec.values()
-
-    def find_repeated_digram(self) -> tuple[int, int] | None:
-        """A digram with two non-overlapping occurrences, or None.  Sequential
-        keeps its grammar irreducible, so there is at most one."""
-        concat = _concat(self.all_bodies())
-        groups = _pair_groups(concat)
-        if not groups:
-            return None
-        p = groups[0][0][0]
-        return concat[p], concat[p + 1]
 
     def replace_digram(self, d: tuple[int, int], new: int) -> None:
         self.start_body[:] = _replace_all(self.start_body, d, new)
@@ -475,66 +488,28 @@ class _OnlineGrammar:
         return _slg({self.start: self.start_body, **self.sec}, self.start, self.table)
 
 
-def sequential(u, table: SymbolTable) -> SLG:
-    """Online longest-known-prefix parsing with repeated-pair elimination
-    and single-use inlining after every appended symbol."""
+def _online(u, table: SymbolTable, prefix: str, feed: bool) -> SLG:
+    """Append the longest live secondary in the trie that the rest of the
+    input starts with, or its next symbol, to the start rule; then apply
+    the three reductions to quiescence."""
     u = _input_ids(u, table)
-    st = _OnlineGrammar(table, "Q")
-    exps: dict[int, tuple[int, ...]] = {}  # expansions of the secondaries made
-    children: dict[tuple[int, int], int] = {}
-    ref: list[int | None] = [None]
+    st = _OnlineGrammar(table, prefix, feed)
     pos, n = 0, len(u)
     while pos < n:
         # An irreducible grammar has no two secondaries of one expansion, so
         # the longest live match is the only match of its length.
-        best, length = _trie_longest(children, ref, u, pos, st.sec)
+        best, length = _trie_longest(st.children, st.ref, u, pos, st.sec)
         if best is None:
             best, length = u[pos], 1
         st.start_body.append(best)
         pos += length
-        # Normalize: at most one repeated pair can exist, then at most one
-        # single-use nonterminal; loop defensively until quiescent.
-        while True:
-            d = st.find_repeated_digram()
-            if d is not None:
-                head = st.new_rule(list(d))
-                exps[head] = _online_expansion(d, exps)
-                _trie_insert(children, ref, exps[head], head)
-                st.replace_digram(d, head)
-                continue
-            if st.inline_single_uses():
-                continue
-            break
-    return st.to_slg()
-
-
-def _online_expansion(body, exps) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in body:
-        if s in exps:
-            out.extend(exps[s])
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Sequitur
-
-
-def sequitur(u, table: SymbolTable) -> SLG:
-    """Symbol-by-symbol processing with three prioritized reductions keyed
-    to the length-2 suffix of the start rule, applied to quiescence."""
-    u = _input_ids(u, table)
-    st = _OnlineGrammar(table, "U")
-    for sym in u:
-        st.start_body.append(sym)
-        while _sequitur_reduce(st):
+        while _reduce(st):
             pass
     return st.to_slg()
 
 
-def _sequitur_reduce(st: _OnlineGrammar) -> bool:
+def _reduce(st: _OnlineGrammar) -> bool:
+    """Apply the first reduction that applies; True if one did."""
     body = st.start_body
     if len(body) >= 2:
         suffix = (body[-2], body[-1])
@@ -544,7 +519,7 @@ def _sequitur_reduce(st: _OnlineGrammar) -> bool:
                 body[-2:] = [head]
                 return True
         # 2. The suffix digram repeats non-overlappingly somewhere.
-        if _sequitur_suffix_repeats(st, suffix):
+        if _suffix_repeats(st, suffix):
             head = st.new_rule(list(suffix))
             st.replace_digram(suffix, head)
             return True
@@ -552,7 +527,7 @@ def _sequitur_reduce(st: _OnlineGrammar) -> bool:
     return st.inline_single_uses()
 
 
-def _sequitur_suffix_repeats(st: _OnlineGrammar, suffix) -> bool:
+def _suffix_repeats(st: _OnlineGrammar, suffix) -> bool:
     body = st.start_body
     suffix_at = len(body) - 2
     for ridx, b in enumerate(st.all_bodies()):
@@ -562,6 +537,18 @@ def _sequitur_suffix_repeats(st: _OnlineGrammar, suffix) -> bool:
             if b[i] == suffix[0] and b[i + 1] == suffix[1]:
                 return True
     return False
+
+
+def sequential(u, table: SymbolTable) -> SLG:
+    """Online longest-known-prefix parsing, keeping the grammar irreducible
+    with Sequitur's reductions after every appended secondary or symbol."""
+    return _online(u, table, "Q", True)
+
+
+def sequitur(u, table: SymbolTable) -> SLG:
+    """Symbol-by-symbol processing with three prioritized reductions keyed
+    to the length-2 suffix of the start rule, applied to quiescence."""
+    return _online(u, table, "U", False)
 
 
 # ---------------------------------------------------------------------------

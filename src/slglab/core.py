@@ -74,6 +74,8 @@ class SLG:
             raise GrammarError("start symbol must be a nonterminal")
         if start not in rules:
             raise GrammarError(f"start symbol {start.display} has no rule")
+        if not owns(start):
+            raise GrammarError(f"symbol {start.display} is not interned in this table")
         seen: dict[int, bool] = {}  # False while on the stack, True once done
         order: list[Symbol] = []
         for root in rules:

@@ -11,7 +11,6 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from slglab import SLG
-from slglab.compressors import _input_ids, _online_expansion, _OnlineGrammar
 from slglab.symbols import SymbolTable
 
 # Set at import: Hypothesis writes its cache while pytest is still collecting,
@@ -193,11 +192,71 @@ def _first_repeated_digram(bodies):
     return None
 
 
+class _ReferenceOnlineGrammar:
+    """The working state of the online references, on ids: the start rule
+    and the secondary rules in creation order."""
+
+    def __init__(self, table, prefix):
+        self.table = table
+        self.start = table.fresh_nonterminal("S").id
+        self.start_body = []
+        self.sec = {}
+        self.prefix = prefix
+
+    def new_rule(self, body):
+        head = self.table.fresh_nonterminal(self.prefix).id
+        self.sec[head] = body
+        return head
+
+    def all_bodies(self):
+        yield self.start_body
+        yield from self.sec.values()
+
+    def replace_digram(self, d, new):
+        self.start_body[:] = _reference_replace(self.start_body, d, new)
+        for head, body in self.sec.items():
+            if head != new:
+                self.sec[head] = _reference_replace(body, d, new)
+
+    def inline_single_uses(self):
+        """Inline one single-use secondary (drop zero-use ones); True if any."""
+        counts = dict.fromkeys(self.sec, 0)
+        for body in self.all_bodies():
+            for s in body:
+                if s in counts:
+                    counts[s] += 1
+        for head in list(self.sec):
+            if counts[head] == 0:
+                del self.sec[head]
+                return True
+            if counts[head] == 1:
+                definition = self.sec.pop(head)
+                for body in self.all_bodies():
+                    for i, s in enumerate(body):
+                        if s == head:
+                            body[i : i + 1] = definition
+                            return True
+        return False
+
+    def to_slg(self):
+        by_id = self.table.by_id
+        rules = {self.start: self.start_body, **self.sec}
+        return SLG({by_id(h): tuple(map(by_id, b)) for h, b in rules.items()},
+                   by_id(self.start), self.table)
+
+
+def _reference_ids(u, table):
+    syms = table.chars(u) if isinstance(u, str) else tuple(u)
+    return tuple(s.id for s in syms)
+
+
 def sequential_reference(u, table: SymbolTable) -> SLG:
     """Online longest-known-prefix parsing with repeated-pair elimination
-    and single-use inlining after every appended symbol."""
-    u = _input_ids(u, table)
-    st = _OnlineGrammar(table, "Q")
+    and single-use inlining after every appended symbol.  The parse tries
+    every live secondary's expansion, longest first, and every digram of
+    the grammar is scanned for a repeat."""
+    u = _reference_ids(u, table)
+    st = _ReferenceOnlineGrammar(table, "Q")
     exps: dict[int, tuple[int, ...]] = {}  # secondary expansions
     by_len: list[int] = []  # secondaries sorted by decreasing expansion length
     pos, n = 0, len(u)
@@ -220,7 +279,7 @@ def sequential_reference(u, table: SymbolTable) -> SLG:
             d = _first_repeated_digram(st.all_bodies())
             if d is not None:
                 head = st.new_rule(list(d))
-                exps[head] = _online_expansion(d, exps)
+                exps[head] = tuple(x for s in d for x in exps.get(s, (s,)))
                 st.replace_digram(d, head)
                 by_len.append(head)
                 by_len.sort(key=lambda h: -len(exps[h]))
@@ -235,15 +294,57 @@ def sequential_reference(u, table: SymbolTable) -> SLG:
     return st.to_slg()
 
 
+def sequitur_reference(u, table: SymbolTable) -> SLG:
+    """Symbol-by-symbol processing with three prioritized reductions keyed
+    to the length-2 suffix of the start rule, applied to quiescence."""
+    u = _reference_ids(u, table)
+    st = _ReferenceOnlineGrammar(table, "U")
+    for sym in u:
+        st.start_body.append(sym)
+        while _reference_sequitur_reduce(st):
+            pass
+    return st.to_slg()
+
+
+def _reference_sequitur_reduce(st):
+    body = st.start_body
+    if len(body) >= 2:
+        suffix = (body[-2], body[-1])
+        # 1. The suffix equals the definition of an existing rule.
+        for head, definition in st.sec.items():
+            if len(definition) == 2 and definition[0] == suffix[0] and definition[1] == suffix[1]:
+                body[-2:] = [head]
+                return True
+        # 2. The suffix digram repeats non-overlappingly somewhere.
+        if _reference_suffix_repeats(st, suffix):
+            head = st.new_rule(list(suffix))
+            st.replace_digram(suffix, head)
+            return True
+    # 3. Single-use rule inlining.
+    return st.inline_single_uses()
+
+
+def _reference_suffix_repeats(st, suffix):
+    body = st.start_body
+    suffix_at = len(body) - 2
+    for ridx, b in enumerate(st.all_bodies()):
+        for i in range(len(b) - 1):
+            if ridx == 0 and i >= suffix_at - 1:
+                break  # would overlap (or be) the suffix occurrence
+            if b[i] == suffix[0] and b[i + 1] == suffix[1]:
+                return True
+    return False
+
+
 def slg_order_reference(rules, start, table):
     """The children-before-parents order of the SLG with these rules, or None
-    when they do not form one over `table`: a head or body symbol that is not
-    the table's own object, a start or rule head that is no nonterminal, a
-    start or body nonterminal without a rule, or a cycle.  The order is the
-    depth-first post-order from each head in rule order, children in body
-    order."""
+    when they do not form one over `table`: a start, head or body symbol
+    that is not the table's own object, a start or rule head that is no
+    nonterminal, a start or body nonterminal without a rule, or a cycle.
+    The order is the depth-first post-order from each head in rule order,
+    children in body order."""
     symbols = [*rules, *(s for body in rules.values() for s in body)]
-    if any(table.get(s.display) is not s for s in symbols):
+    if any(table.get(s.display) is not s for s in [start, *symbols]):
         return None
     if not start.is_nonterminal() or start not in rules:
         return None

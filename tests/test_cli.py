@@ -112,6 +112,10 @@ def test_boost_answer_points(tmp_path):
         ("x y\n", "line 1: bad point line 'x y'"),
         ("1 1\n1 1 1\n", "line 2: bad point line '1 1 1'"),
         ("m four\n1 1\n", "line 1: bad point line 'm four'"),
+        ("m 2 junk\n1 1\n2 2\n", "line 1: bad point line 'm 2 junk'"),
+        ("m -1\n", "line 1: m must be at least 1, got -1"),
+        ("m 0\n1 1\n", "line 1: m must be at least 1, got 0"),
+        ("m 3\n1 1\n2 2\n3 3\nm 2\n", "line 5: repeated m header"),
         # checked before padding to 4 x 4, which would add (4, 4) again
         ("1 1\n2 2\n4 4\n", "point (4, 4) outside the 3 x 3 grid"),
     ],

@@ -40,6 +40,7 @@ from conftest import (
     lzd_parts_reference,
     run_global_reference,
     sequential_reference,
+    sequitur_reference,
 )
 
 
@@ -209,6 +210,17 @@ def test_sequential_matches_reference(kind, cases):
         assert interned(t1) == interned(t2), seed
 
 
+@pytest.mark.parametrize(
+    "kind, cases", [("random", 100), ("alpha", 50), ("beta", 50), ("rna-beta", 50)])
+def test_sequitur_matches_reference(kind, cases):
+    for seed in range(cases):
+        t1, t2 = SymbolTable(), SymbolTable()
+        got = serialize(sequitur(_sequential_input(kind, seed, t1), t1))
+        want = serialize(sequitur_reference(_sequential_input(kind, seed, t2), t2))
+        assert got == want, seed
+        assert interned(t1) == interned(t2), seed
+
+
 def test_sequitur_examples(table):
     g = sequitur("ab", table)
     assert g.size == 2
@@ -333,11 +345,9 @@ def test_round_trip_all_compressors():
             g = algo(u, t)
             assert expand(g, g.start) == u
         if n <= 600:
-            g = sequitur(u, t)
-            assert expand(g, g.start) == u
-        if n <= 400:
-            g = sequential(u, t)
-            assert expand(g, g.start) == u
+            for online in (sequitur, sequential):
+                g = online(u, t)
+                assert expand(g, g.start) == u
         if n <= 400:
             g = run_global(u, strategies[i % 4], t)
             assert expand(g, g.start) == u

@@ -1,6 +1,6 @@
 """Property tests: text-format round trips of grammars, CFGs and matched
 alphabets, the laws of `make_admissible` and `is_isomorphic`, and the global
-compressors and Sequential against their references.  Examples are
+compressors, Sequential and Sequitur against their references.  Examples are
 derandomized and no example database is kept, so every run draws the same
 cases (`PROPERTY` in `conftest.py`)."""
 from hypothesis import given
@@ -16,13 +16,20 @@ from slglab import (
     make_admissible,
     run_global,
     sequential,
+    sequitur,
     serialize,
 )
 from slglab.cfg import CFG, parse_cfg, serialize_cfg
 from slglab.rna import MatchedAlphabet, parse_matched_alphabet
 from slglab.symbols import SymbolTable
 
-from conftest import PROPERTY, interned, run_global_reference, sequential_reference
+from conftest import (
+    PROPERTY,
+    interned,
+    run_global_reference,
+    sequential_reference,
+    sequitur_reference,
+)
 
 _LETTERS = ["a", "b", "c", "x1", "$_1", "#'R_2"]
 
@@ -176,4 +183,13 @@ def test_run_global_matches_reference(text, strategy):
 def test_sequential_matches_reference(text):
     t1, t2 = SymbolTable(), SymbolTable()
     assert serialize(sequential(text, t1)) == serialize(sequential_reference(text, t2))
+    assert interned(t1) == interned(t2)
+
+
+@PROPERTY
+@given(st.integers(1, 16).flatmap(
+    lambda k: st.text("abcdefghijklmnop"[:k], min_size=1, max_size=300)))
+def test_sequitur_matches_reference(text):
+    t1, t2 = SymbolTable(), SymbolTable()
+    assert serialize(sequitur(text, t1)) == serialize(sequitur_reference(text, t2))
     assert interned(t1) == interned(t2)

@@ -292,6 +292,9 @@ def test_value_equal_symbol_of_another_table_is_refused():
         SLG({s1: (a1, a2)}, s1, t1)
     with pytest.raises(GrammarError, match="symbol S is not interned"):
         SLG({s2: (a1, a1)}, s1, t1)
+    # `start in rules` holds by value; the start is still not t1's object
+    with pytest.raises(GrammarError, match="^symbol S is not interned in this table$"):
+        SLG({s1: (a1, a1)}, s2, t1)
 
 
 @st.composite
