@@ -88,14 +88,11 @@ def _require_admissible(g: SLG) -> None:
         raise BoostError("grammar is not admissible")
 
 
-def _require_fresh_sentinels(g: SLG, families) -> None:
-    used = g.terminals()
+def _require_fresh_sentinels(symbols, families, source="grammar alphabet") -> None:
     for fam in families:
-        for t in used:
+        for t in symbols:
             if t.display.startswith(fam.prefix):
-                raise BoostError(
-                    f"grammar alphabet collides with sentinel family {fam.prefix!r}"
-                )
+                raise BoostError(f"{source} collides with sentinel family {fam.prefix!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def _mirrored(gp: SLG, match) -> SLG:
 
 def alpha(g: SLG) -> BoostResult:
     _require_admissible(g)
-    _require_fresh_sentinels(g, [D, H])
+    _require_fresh_sentinels(g.terminals(), [D, H])
     table = g.table
     order = canonical_order(g)
     nv = len(order)
@@ -260,7 +257,7 @@ def beta(g: SLG) -> BoostResult:
     _require_admissible(g)
     table = g.table
     order = canonical_order(g)
-    _require_fresh_sentinels(g, [D])
+    _require_fresh_sentinels(g.terminals(), [D])
     gp, n0 = _beta_grammar(g, order, table)
     _full = expand_all(gp)
     exp0 = {i: _full[n0[i - 1]] for i in range(1, len(order) + 1)}
@@ -296,7 +293,10 @@ def _folding_order(g: SLG, a: MatchedAlphabet, families) -> tuple[Symbol, ...]:
         raise BoostError("matched alphabet does not cover the grammar terminals")
     if any(a.weight[s] < 1 for s in a.symbols):
         raise BoostError("weights must be positive")
-    _require_fresh_sentinels(g, families)
+    _require_fresh_sentinels(g.terminals(), families)
+    # The booster extends the alphabet with these families; a user pair of
+    # theirs would be silently re-matched or re-weighted.
+    _require_fresh_sentinels(a.symbols, families, "matched alphabet")
     order = canonical_order(g)
     if order[-1] != g.start:
         raise BoostError("start must be the unique longest nonterminal")

@@ -2,8 +2,13 @@
 alphabets, plus the structural identities used by the boosting checks.
 
 One numpy interval-DP kernel (cubic, Nussinov-style) fills the table that
-both the folding value and the witness traceback read.  Inputs beyond a
-configurable length cap are refused.
+both the folding value and the witness traceback read.  Each row takes one
+gathered max over the partners of its symbol, chunked to a fixed number of
+cells; the cells below the empty-interval diagonal hold a negative fill
+while the table is built, so a partner past the column never wins, and a
+final clamp sets them back to zero.  The traceback visits only the
+partners of a symbol, found by bisection in the occurrence lists the table
+was built from.  Inputs beyond a configurable length cap are refused.
 """
 from __future__ import annotations
 
@@ -74,7 +79,10 @@ class MatchedAlphabet:
 
 
 def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
-    symbols: list[Symbol] = []
+    """One pair per line, `a ~ b : w`.  The `~` may stand alone between
+    spaces, so a display may end in `~` (`a ~ a~ : 2`), or join the two
+    sides (`a~b : 1`).  A symbol may be paired on one line only."""
+    paired_on: dict[Symbol, int] = {}
     match: dict[Symbol, Symbol] = {}
     weight: dict[Symbol, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -83,16 +91,25 @@ def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
             continue
         try:
             pair_part, w_part = line.rsplit(":", 1)
-            left, right = pair_part.split("~")
+            tokens = pair_part.split()
+            if len(tokens) == 3 and tokens[1] == "~":
+                left, right = tokens[0], tokens[2]
+            else:
+                left, right = pair_part.split("~")
             a = table.terminal(left.strip())
             b = table.terminal(right.strip())
             w = int(w_part.strip())
         except ValueError as exc:
             raise RnaError(f"line {line_no}: bad alphabet line {line!r}") from exc
-        symbols += [a, b]
+        for s in (a, b):
+            if s in paired_on:
+                raise RnaError(
+                    f"line {line_no}: {s.display} is already paired on line {paired_on[s]}"
+                )
+        paired_on[a] = paired_on[b] = line_no
         match[a], match[b] = b, a
         weight[a] = weight[b] = w
-    return MatchedAlphabet(tuple(symbols), match, weight)
+    return MatchedAlphabet(tuple(paired_on), match, weight)
 
 
 @dataclass(frozen=True)
@@ -138,28 +155,60 @@ def _encode(u, alphabet: MatchedAlphabet):
     return seq, match_of, w_of
 
 
-def _wrna_table(seq, match_of, w_of):
-    """Interval DP table: `dp[i, j]` is the best folding value of
-    `seq[i..j]`.  The table is `(n+2) x (n+1)` int64; the cells with
-    `j <= i`, column `n` and rows `n` and `n+1` stay zero.
-
-    Rows are filled from `n-1` down to `0`.  Row `i` starts as row `i+1`
-    (position `i` left unpaired); then each occurrence `k > i` of
-    `match(seq[i])` raises the columns `j >= k` to
-    `w + dp[i+1, k-1] + dp[k+1, j]` in one vectorised max.
-    """
-    n = len(seq)
-    dp = np.zeros((n + 2, n + 1), dtype=np.int64)
-    occurrences = [[] for _ in match_of]
+def _occurrences(seq, symbol_count):
+    """Increasing positions of each symbol code in `seq`."""
+    occurrences = [[] for _ in range(symbol_count)]
     for k, c in enumerate(seq):
         occurrences[c].append(k)
+    return occurrences
+
+
+# Cells of one partner block gathered at once; bounds the scratch memory of
+# a row whatever the number of partners.
+_GATHER_CELLS = 1 << 16
+
+
+def _wrna_table(seq, match_of, w_of, occurrences=None):
+    """Interval DP table: `dp[i, j]` is the best folding value of
+    `seq[i..j]`.  The table is `(n+2) x (n+1)`; the cells with `j <= i`,
+    column `n` and rows `n` and `n+1` are zero.  It is int32 when
+    `sum(w_of) * n`, a bound on every value, fits in int32, else int64.
+
+    Rows are filled from `n-1` down to `0`.  Row `i` starts as row `i+1`
+    (position `i` left unpaired).  Then one gathered max over the
+    occurrences `K` of `match(seq[i])` after `i` raises the columns
+    `j >= K[0]` to `w + dp[i+1, k-1] + dp[k+1, j]`, the best over `k` in
+    `K`, in blocks of at most `_GATHER_CELLS` cells.  A partner `k > j`
+    reads `dp[k+1, j]`, below the diagonal `j = r-1` of empty intervals.
+    While the table is built those cells hold minus the dtype's maximum;
+    every valid value is at most that maximum, so such a candidate is
+    never positive and never overflows.  One final clamp sets them back to
+    zero.
+    """
+    n = len(seq)
+    if occurrences is None:
+        occurrences = _occurrences(seq, len(match_of))
+    dtype = np.int32 if sum(w_of) * n <= np.iinfo(np.int32).max else np.int64
+    fill = -np.iinfo(dtype).max
+    positions = [np.array(ks, dtype=np.intp) for ks in occurrences]
+    dp = np.zeros((n + 2, n + 1), dtype=dtype)
+    for r in range(2, n + 2):
+        dp[r, : r - 1] = fill
     for i in range(n - 1, -1, -1):
         row, below = dp[i], dp[i + 1]
         row[i:n] = below[i:n]
-        partners = occurrences[match_of[seq[i]]]
+        c = match_of[seq[i]]
         w = w_of[seq[i]]
-        for k in partners[bisect_right(partners, i):]:
-            np.maximum(row[k:n], w + below[k - 1] + dp[k + 1, k:n], out=row[k:n])
+        ks = positions[c]
+        t = bisect_right(occurrences[c], i)
+        while t < len(ks):
+            k0 = int(ks[t])
+            block = ks[t : t + max(1, _GATHER_CELLS // (n - k0))]
+            cand = dp[block + 1, k0:n]
+            cand += (w + below[block - 1])[:, None]
+            np.maximum(row[k0:n], cand.max(axis=0), out=row[k0:n])
+            t += len(block)
+    np.maximum(dp, 0, out=dp)
     return dp
 
 
@@ -169,7 +218,14 @@ def wrna(
     want_pairs: bool = False,
     length_cap: int = DEFAULT_LENGTH_CAP,
 ) -> FoldResult:
-    """Maximum-weight non-crossing matching value of `u`."""
+    """Maximum-weight non-crossing matching value of `u`.
+
+    With `want_pairs`, the witness is traced back through the table: an
+    interval `[i, j]` whose value differs from `[i+1, j]` pairs `i` with the
+    first partner `k` in `(i, j]`, in increasing order, whose split
+    reproduces the value.  Only the occurrences of `match(u[i])` are
+    visited.
+    """
     u = tuple(u)
     if len(u) > length_cap:
         raise RnaError(f"input length {len(u)} exceeds the cap {length_cap}")
@@ -178,24 +234,28 @@ def wrna(
     seq, match_of, w_of = _encode(u, alphabet)
     if sum(w_of) * len(u) > MAX_WEIGHT_TOTAL:
         raise RnaError("weights too large for 64-bit accumulation")
-    dp = _wrna_table(seq, match_of, w_of)
+    occurrences = _occurrences(seq, len(match_of))
+    dp = _wrna_table(seq, match_of, w_of, occurrences)
     n = len(u)
     value = int(dp[0, n - 1])
     if not want_pairs:
         return FoldResult(value)
+    at = dp.item
     pairs: list[tuple[int, int]] = []
     stack = [(0, n - 1)]
     while stack:
         i, j = stack.pop()
         if i >= j:
             continue
-        if dp[i, j] == dp[i + 1, j]:
+        best = at(i, j)
+        if best == at(i + 1, j):
             stack.append((i + 1, j))
             continue
-        mi = match_of[seq[i]]
-        wi = w_of[seq[i]]
-        for k in range(i + 1, j + 1):
-            if seq[k] == mi and dp[i, j] == wi + dp[i + 1, k - 1] + dp[k + 1, j]:
+        ks = occurrences[match_of[seq[i]]]
+        rest = best - w_of[seq[i]]
+        for t in range(bisect_right(ks, i), bisect_right(ks, j)):
+            k = ks[t]
+            if rest == at(i + 1, k - 1) + at(k + 1, j):
                 pairs.append((i + 1, k + 1))
                 stack.append((i + 1, k - 1))
                 stack.append((k + 1, j))

@@ -442,6 +442,53 @@ def wrna_table_py(seq, match_of, w_of):
     return dp
 
 
+def wrna_reference(u, alphabet):
+    """Per-pair numpy folding kernel and scanning traceback: one vectorised
+    max for each matched pair `(i, k)`, and a traceback that tries every
+    `k` in `(i, j]`.  The oracle for the row-gathered kernel.  Returns
+    `(table, value, pairs)`, with the `(n+2) x (n+1)` int64 table."""
+    import numpy as np
+
+    codes = {}
+    for s in alphabet.symbols:
+        codes.setdefault(s, len(codes))
+    seq = [codes[s] for s in u]
+    match_of = [codes[alphabet.match[s]] for s in codes]
+    w_of = [alphabet.weight[s] for s in codes]
+    n = len(seq)
+    dp = np.zeros((n + 2, n + 1), dtype=np.int64)
+    occurrences = [[] for _ in match_of]
+    for k, c in enumerate(seq):
+        occurrences[c].append(k)
+    for i in range(n - 1, -1, -1):
+        row, below = dp[i], dp[i + 1]
+        row[i:n] = below[i:n]
+        w = w_of[seq[i]]
+        for k in occurrences[match_of[seq[i]]]:
+            if k > i:
+                np.maximum(row[k:n], w + below[k - 1] + dp[k + 1, k:n], out=row[k:n])
+    if n == 0:
+        return dp, 0, ()
+    pairs = []
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
+        if i >= j:
+            continue
+        if dp[i, j] == dp[i + 1, j]:
+            stack.append((i + 1, j))
+            continue
+        mi = match_of[seq[i]]
+        wi = w_of[seq[i]]
+        for k in range(i + 1, j + 1):
+            if seq[k] == mi and dp[i, j] == wi + dp[i + 1, k - 1] + dp[k + 1, j]:
+                pairs.append((i + 1, k + 1))
+                stack.append((i + 1, k - 1))
+                stack.append((k + 1, j))
+                break
+    return dp, int(dp[0, n - 1]), tuple(sorted(pairs))
+
+
 def cyk_member_table(g, u, length_cap=5000):
     """Table CYK over the compiled normal form: every cell of every span,
     every split point.  The cubic oracle for the bit-vector recogniser."""

@@ -189,6 +189,31 @@ def test_boost_alphabet_file_comments(tmp_path, g0_file):
     assert [(s.display, al.weight[s]) for s in al.symbols] == [("#_1", 3), ("#'_1", 3)]
 
 
+@pytest.mark.parametrize("kind", ["rna-alpha", "rna-beta", "gamma"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # a later line used to replace the earlier pair silently
+        ("a ~ b : 1\na ~ b : 2\n", "line 2: a is already paired on line 1"),
+        ("a ~ b : 1\na ~ b : 1\n", "line 2: a is already paired on line 1"),
+        # the booster's own pairs used to re-weight this one to 1 ...
+        ("a ~ b : 1\n$_1 ~ $'_1 : 5\n",
+         "matched alphabet collides with sentinel family '$_'"),
+        # ... or re-match $_1, reported as a broken involution at b
+        ("a ~ a' : 1\n$_1 ~ b : 1\n",
+         "matched alphabet collides with sentinel family '$_'"),
+    ],
+)
+def test_boost_rejects_bad_alphabets(tmp_path, g0_file, capsys, kind, content, message):
+    alpha_file = tmp_path / "al.txt"
+    alpha_file.write_text(content)
+    prefix = str(tmp_path / "x")
+    assert main(["boost", "--kind", kind, "--grammar", g0_file,
+                 "--alphabet", str(alpha_file), "--out", prefix]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.text").exists()
+
+
 def test_boost_rna_kinds_and_raw(tmp_path, g0_file, capsys):
     alpha_file = tmp_path / "al.txt"
     alpha_file.write_text("a ~ a' : 2\nb ~ b' : 1\n")

@@ -18,7 +18,7 @@ from slglab.rna import rna
 from slglab.generate import random_matched_alphabet
 from slglab.symbols import SymbolTable
 
-from conftest import wrna_exhaustive, wrna_table_py
+from conftest import wrna_exhaustive, wrna_reference, wrna_table_py
 
 
 def _pairs(table, pair_defs):
@@ -80,6 +80,37 @@ def test_alphabet_text_roundtrip(table):
     assert back.weight[table.terminal("b")] == 5
 
 
+def test_generated_alphabets_round_trip():
+    # Generated partners end in '~' (`a ~ a~ : 2`); the joined form `a~b`
+    # still parses.
+    rng = random.Random(139)
+    for pairs in range(1, 17):
+        al = random_matched_alphabet(rng, pairs, 9, SymbolTable())
+        text = al.serialize()
+        t = SymbolTable()
+        back = parse_matched_alphabet(text, t)
+        assert back.serialize() == text
+        assert [s.display for s in back.symbols] == [s.display for s in al.symbols]
+        assert all(back.match[t.get(s.display)].display == al.match[s].display
+                   and back.weight[t.get(s.display)] == al.weight[s] for s in al.symbols)
+    joined = parse_matched_alphabet("a~b : 1\n", SymbolTable())
+    assert joined.serialize() == "a ~ b : 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a ~ b : 1\n# c\na ~ b : 1\n", "line 3: a is already paired on line 1"),
+        ("a ~ b : 1\nc ~ b : 1\n", "line 2: b is already paired on line 1"),
+        ("a ~ b~ ~ : 1\n", "line 1: bad alphabet line 'a ~ b~ ~ : 1'"),
+    ],
+)
+def test_alphabet_parse_errors(text, message):
+    with pytest.raises(RnaError) as exc:
+        parse_matched_alphabet(text, SymbolTable())
+    assert str(exc.value) == message
+
+
 def test_dp_matches_exhaustive_search():
     rng = random.Random(103)
     for _ in range(300):
@@ -109,6 +140,45 @@ def test_jit_kernel_matches_python_dp():
         res = wrna(u, al, want_pairs=True)
         assert res.value == dp[0, n - 1]
         assert res.validate(u, al)
+
+
+def _reaches_chunks(u, al):
+    """Whether some row's block of partners after it spans more cells than
+    one gather takes."""
+    from slglab.rna import _GATHER_CELLS
+
+    n = len(u)
+    for i, s in enumerate(u):
+        ks = [k for k in range(i + 1, n) if u[k] == al.match[s]]
+        if ks and len(ks) * (n - ks[0]) > _GATHER_CELLS:
+            return True
+    return False
+
+
+def test_wrna_matches_reference():
+    """The row-gathered kernel and the partner-only traceback give the
+    per-pair kernel's full table, value and witness pairs: lengths up to
+    800, 1, 2 and 8 pairs, weights 1, 4 and 10**6 (the last past int32)."""
+    from slglab.rna import _encode, _wrna_table
+
+    rng = random.Random(137)
+    cases = [(800, 1, 1), (800, 2, 4), (600, 8, 10**6)]
+    cases += [(rng.randint(0, 200), rng.choice([1, 2, 8]), rng.choice([1, 4, 10**6]))
+              for _ in range(12)]
+    chunked, dtypes = 0, set()
+    for n, pairs, max_weight in cases:
+        t = SymbolTable()
+        al = random_matched_alphabet(rng, pairs, max_weight, t)
+        u = tuple(rng.choice(al.symbols) for _ in range(n))
+        table, value, witness = wrna_reference(u, al)
+        if n:
+            dp = _wrna_table(*_encode(u, al))
+            assert dp.tolist() == table.tolist()
+            dtypes.add(dp.dtype.name)
+        res = wrna(u, al, want_pairs=True)
+        assert (res.value, res.pairs) == (value, witness)
+        chunked += _reaches_chunks(u, al)
+    assert chunked >= 2 and dtypes == {"int32", "int64"}
 
 
 def test_witness_pairs_validate():
