@@ -10,8 +10,10 @@ closing the language under sentinel insertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
-from .core import SLG, _is_comment
+from .boost import alpha_sentinel_counts, beta_sentinel_counts
+from .core import SLG, _content_lines
 from .symbols import SentinelFamily, Symbol, SymbolTable
 
 DEFAULT_CYK_CAP = 5000
@@ -86,10 +88,7 @@ def serialize_cfg(g: CFG) -> str:
 def parse_cfg(text: str, table: SymbolTable) -> CFG:
     raw: list[tuple[int, str, list[list[str]]]] = []
     heads: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or _is_comment(line):
-            continue
+    for line_no, line in _content_lines(text):
         if "->" not in line:
             raise CfgError(f"line {line_no}: missing '->'")
         head, rest = line.split("->", 1)
@@ -136,33 +135,22 @@ class _Compiled:
 def _compile(g: CFG) -> _Compiled:
     if g._compiled:
         return g._compiled[0]
-    # Work over integer ids; fresh ids for helper nonterminals.
-    next_id = [-1]
-
-    def fresh() -> int:
-        next_id[0] -= 1
-        return next_id[0]
-
+    # Work over integer ids; negative ids for helper nonterminals.
+    fresh = count(-1, -1).__next__
     start = g.start.id
-    rules: list[tuple[int, tuple[int, ...]]] = []
     term_ids: frozenset[int] = frozenset(t.id for t in g.terminals())
-    for head, body in g.rules:
-        rules.append((head.id, tuple(s.id for s in body)))
 
-    # 1. fresh start wrapper
-    s0 = fresh()
-    rules.append((s0, (start,)))
-
-    # 2. binarize long bodies
+    # 1. binarize long bodies
     binned: list[tuple[int, tuple[int, ...]]] = []
-    for head, body in rules:
+    for head_sym, body_syms in g.rules:
+        head, body = head_sym.id, tuple(s.id for s in body_syms)
         while len(body) > 2:
             helper = fresh()
             binned.append((head, (body[0], helper)))
             head, body = helper, body[1:]
         binned.append((head, body))
 
-    # 3. nullable closure, then epsilon removal
+    # 2. nullable closure, then epsilon removal
     nullable: set[int] = set()
     changed = True
     while changed:
@@ -185,7 +173,7 @@ def _compile(g: CFG) -> _Compiled:
             if v:
                 stripped.add((head, v))
 
-    # 4. unit closure
+    # 3. unit closure
     unit: dict[int, set[int]] = {}
     proper: dict[int, list[tuple[int, ...]]] = {}
     for head, body in stripped:
@@ -207,7 +195,7 @@ def _compile(g: CFG) -> _Compiled:
             for body in proper.get(t, ()):
                 final.add((origin, body))
 
-    # 5. dense indices; isolate terminals inside binary bodies
+    # 4. dense indices; isolate terminals inside binary bodies
     index: dict[int, int] = {}
 
     def dense(x: int) -> int:
@@ -239,7 +227,7 @@ def _compile(g: CFG) -> _Compiled:
         {t: tuple(unary.get(t, ())) for t in term_ids},
         tuple(tuple(binary_left.get(x, ())) for x in range(len(index))),
         index.get(start),
-        start in nullable or s0 in nullable,
+        start in nullable,
     )
     g._compiled.append(compiled)
     return compiled
@@ -373,8 +361,6 @@ def erase_closure(g: CFG, sentinels, table: SymbolTable) -> CFG:
 def gamma_prime_alpha(g_cfg: CFG, g: SLG) -> CFG:
     """CFG accepting exactly the alpha-boosted strings of members of the
     input language; sizes derive from length arithmetic, never expansion."""
-    from .boost import alpha_sentinel_counts  # local import to avoid a cycle
-
     nv, k = alpha_sentinel_counts(g)
     g2 = interleave(g_cfg, nv, 2 * nv, g.table)
     sigma = set(g2.terminals()) | set(g.terminals())
@@ -384,8 +370,6 @@ def gamma_prime_alpha(g_cfg: CFG, g: SLG) -> CFG:
 def gamma_prime_beta(g_cfg: CFG, g: SLG) -> CFG:
     """CFG accepting exactly the beta-boosted strings of members of the
     input language."""
-    from .boost import beta_sentinel_counts
-
     nv, k = beta_sentinel_counts(g)
     dollars = [g.table.sentinel(SentinelFamily.DOLLAR, i) for i in range(1, 2 * nv + 1)]
     g2 = erase_closure(g_cfg, dollars, g.table)

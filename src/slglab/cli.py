@@ -16,7 +16,7 @@ from . import compressors as comp
 from .rna import MatchedAlphabet, parse_matched_alphabet
 from .core import (
     SLG,
-    _is_comment,
+    _content_lines,
     deserialize,
     is_admissible,
     make_admissible,
@@ -104,16 +104,12 @@ def _load_grammar(path: str, table: SymbolTable, admissify: bool) -> SLG:
 def _load_points(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [
-                (line_no, ln)
-                for line_no, raw in enumerate(fh, start=1)
-                if (ln := raw.strip()) and not _is_comment(ln)
-            ]
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     m = None
     points = []
-    for line_no, ln in lines:
+    for line_no, ln in _content_lines(text):
         try:
             if ln.startswith("m "):
                 if m is not None:

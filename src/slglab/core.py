@@ -414,20 +414,22 @@ def serialize(g: SLG) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_comment(stripped: str) -> bool:
-    """The comment rule of the grammar, CFG and alphabet formats: a stripped
-    line that is '#' alone or '# ' and text.  A sentinel such as '#_1'
-    starts with '#' but is no comment."""
-    return stripped == "#" or stripped.startswith("# ")
+def _content_lines(text: str):
+    """`(line_no, stripped)` for every line of `text` that is neither blank
+    nor a comment, with lines split by `str.splitlines`.  The comment rule of
+    the grammar, CFG, alphabet and point formats: a stripped line that is '#'
+    alone or '# ' and text.  A sentinel such as '#_1' starts with '#' but is
+    no comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line != "#" and not line.startswith("# "):
+            yield line_no, line
 
 
 def deserialize(text: str, table: SymbolTable) -> SLG:
     parsed: list[tuple[int, str, list[str]]] = []
     heads: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or _is_comment(line):
-            continue
+    for line_no, line in _content_lines(text):
         if "->" not in line:
             raise GrammarParseError("missing '->'", line_no)
         head_part, body_part = line.split("->", 1)

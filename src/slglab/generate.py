@@ -36,6 +36,8 @@ def random_admissible_slg(
     hold by construction.  Slots may also reuse a strictly later-created
     nonterminal (never an ancestor, so the rule graph stays acyclic) or take
     a terminal.  Grammars whose total expansion exceeds the cap are redrawn.
+    A slot holds the index of its head in creation order, so the strictly
+    later nonterminals are the ones after that index.
     """
     if num_nonterminals < 1:
         raise ValueError("need at least one nonterminal")
@@ -43,32 +45,28 @@ def random_admissible_slg(
 
     for _ in range(200):
         nodes: list[Symbol] = [table.fresh_nonterminal("G")]
-        created_at = {nodes[0]: 0}
-        slots: list[tuple[Symbol, int]] = [(nodes[0], 0), (nodes[0], 1)]
-        rules: dict[Symbol, list] = {nodes[0]: [None, None]}
+        bodies: list[list] = [[None, None]]
+        slots: list[tuple[int, int]] = [(0, 0), (0, 1)]
         qi = 0
         while qi < len(slots):
-            head, child = slots[qi]
+            at, child = slots[qi]
             qi += 1
             deficit = num_nonterminals - len(nodes)
             remaining_slots = len(slots) - qi + 1
             force_fresh = deficit > 0 and remaining_slots <= deficit
-            later = [n for n in nodes if created_at[n] > created_at[head]]
             roll = rng.random()
             if force_fresh or (deficit > 0 and roll < 0.45):
                 fresh = table.fresh_nonterminal("G")
-                created_at[fresh] = len(nodes)
+                slots += [(len(nodes), 0), (len(nodes), 1)]
                 nodes.append(fresh)
-                rules[fresh] = [None, None]
-                slots.append((fresh, 0))
-                slots.append((fresh, 1))
-                rules[head][child] = fresh
-            elif later and roll < 0.60:
-                rules[head][child] = rng.choice(later)
+                bodies.append([None, None])
+                bodies[at][child] = fresh
+            elif at + 1 < len(nodes) and roll < 0.60:
+                bodies[at][child] = rng.choice(nodes[at + 1:])
             else:
-                rules[head][child] = rng.choice(alpha)
+                bodies[at][child] = rng.choice(alpha)
         g = SLG(
-            {h: tuple(b) for h, b in rules.items()},  # type: ignore[arg-type]
+            {h: tuple(b) for h, b in zip(nodes, bodies)},  # type: ignore[arg-type]
             nodes[0],
             table,
         )

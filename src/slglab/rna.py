@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_comment
+from .core import _content_lines
 from .symbols import Symbol, SymbolTable
 
 DEFAULT_LENGTH_CAP = 3000
@@ -85,10 +85,7 @@ def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
     paired_on: dict[Symbol, int] = {}
     match: dict[Symbol, Symbol] = {}
     weight: dict[Symbol, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or _is_comment(line):
-            continue
+    for line_no, line in _content_lines(text):
         try:
             pair_part, w_part = line.rsplit(":", 1)
             tokens = pair_part.split()

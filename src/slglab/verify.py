@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from . import boost
 from . import cfg as cfgmod
@@ -57,10 +58,9 @@ class _Suite:
         return bool(ok)
 
 
-def _fresh_admissible(rng, max_nonterms, cap=260, alphabet=4):
-    table = SymbolTable()
+def _fresh_admissible(rng, max_nonterms):
     nv = rng.randint(1, max_nonterms)
-    return gen.random_admissible_slg(rng, nv, alphabet, cap, table)
+    return gen.random_admissible_slg(rng, nv, 4, 260, SymbolTable())
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,13 @@ def _random_cfg(rng, terminals, table) -> cfgmod.CFG:
     return cfgmod.CFG(tuple(rules), nts[0])
 
 
+def _recogniser(g: cfgmod.CFG):
+    """Membership in L(g) as a function; a string with a symbol that is no
+    terminal of g is not in L(g), where `cyk_member` refuses it."""
+    terms = g.terminals()
+    return lambda w: set(w) <= terms and cfgmod.cyk_member(g, w)
+
+
 def _cfg_for_exact(u, table) -> cfgmod.CFG:
     head = table.fresh_nonterminal("C")
     return cfgmod.CFG(((head, tuple(u)),), head)
@@ -230,40 +237,21 @@ def suite_cfg(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
         e0,
     )
 
-    def all_strings(alphabet, up_to):
-        yield ()
-        level = [()]
-        for _ in range(up_to):
-            nxt = []
-            for t in level:
-                for ch in alphabet:
-                    w = t + (ch,)
-                    nxt.append(w)
-                    yield w
-            level = nxt
-
-    inter = cfgmod.interleave(base, 1, 0, table)
-    pref = cfgmod.add_prefix(base, 2, (a, b, c), table)
-    erased = cfgmod.erase_closure(base, [d1], table)
-    ok_i = ok_p = ok_e = True
-    for w in all_strings((a, b, c, d1), 6):
-        in_base_odd = (
-            len(w) % 2 == 0
-            and len(w) > 0
-            and cfgmod.cyk_member(base, w[0::2])
-            if all(x in (a, b, c) for x in w[0::2])
-            else False
-        )
-        if all(x in (a, b, c, d1) for x in w):
-            ok_i = ok_i and (cfgmod.cyk_member(inter, w) == in_base_odd)
-            erased_w = tuple(x for x in w if x != d1)
-            want = cfgmod.cyk_member(base, erased_w) if all(
-                x in (a, b, c) for x in erased_w
-            ) else False
-            ok_e = ok_e and (cfgmod.cyk_member(erased, w) == want)
-        if all(x in (a, b, c) for x in w):
-            want = len(w) >= 2 and cfgmod.cyk_member(base, w[2:])
-            ok_p = ok_p and (cfgmod.cyk_member(pref, w) == want)
+    # The base language up to length 6, parsed once; every equation is then a
+    # lookup in it.  A string holding d1 is never in it.
+    words = [w for n in range(7) for w in product((a, b, c, d1), repeat=n)]
+    lang = {w for w in words if d1 not in w and cfgmod.cyk_member(base, w)}
+    inter = _recogniser(cfgmod.interleave(base, 1, 0, table))
+    pref = _recogniser(cfgmod.add_prefix(base, 2, (a, b, c), table))
+    erased = _recogniser(cfgmod.erase_closure(base, [d1], table))
+    ok_i = all(
+        inter(w) == (bool(w) and len(w) % 2 == 0 and w[0::2] in lang)
+        for w in words
+    )
+    ok_e = all(erased(w) == (tuple(x for x in w if x != d1) in lang) for w in words)
+    ok_p = all(
+        pref(w) == (len(w) >= 2 and w[2:] in lang) for w in words if d1 not in w
+    )
     s.record_bool(1, "interleave-language-equation", ok_i, "all strings up to length 6")
     s.record_bool(1, "add-prefix-language-equation", ok_p, "all strings up to length 6")
     s.record_bool(1, "erase-closure-language-equation", ok_e, "all strings up to length 6")
@@ -283,19 +271,13 @@ def suite_cfg(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
             gamma_cfg = _cfg_for_exact(other, tt)
         else:
             gamma_cfg = _random_cfg(s.rng, sorted(g.terminals(), key=lambda x: x.id), tt)
-        in_lang = all(x in gamma_cfg.terminals() for x in u) and cfgmod.cyk_member(
-            gamma_cfg, u
-        )
+        in_lang = _recogniser(gamma_cfg)(u)
         wa = boost.alpha(g).text
-        ga = cfgmod.gamma_prime_alpha(gamma_cfg, g)
-        s.record(
-            trial, "retarget-alpha-iff", in_lang, cfgmod.cyk_member(ga, wa)
-        )
+        ga = _recogniser(cfgmod.gamma_prime_alpha(gamma_cfg, g))
+        s.record(trial, "retarget-alpha-iff", in_lang, ga(wa))
         wb = boost.beta(g).text
-        gb = cfgmod.gamma_prime_beta(gamma_cfg, g)
-        s.record(
-            trial, "retarget-beta-iff", in_lang, cfgmod.cyk_member(gb, wb)
-        )
+        gb = _recogniser(cfgmod.gamma_prime_beta(gamma_cfg, g))
+        s.record(trial, "retarget-beta-iff", in_lang, gb(wb))
     return s.verdicts
 
 

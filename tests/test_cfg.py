@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import slglab.cfg
 from slglab import (
     CFG,
     CfgError,
@@ -23,6 +24,7 @@ from slglab.boost import alpha_sentinel_counts, beta_sentinel_counts
 from slglab.cfg import _compile
 from slglab.generate import random_admissible_slg
 from slglab.symbols import SentinelFamily, SymbolTable
+from slglab.verify import suite_cfg
 
 from conftest import all_strings_upto, cfg_language_upto, cyk_member_table
 
@@ -327,3 +329,30 @@ def test_size_envelope():
         sigma1 = len(terminals) + 2 * nv
         out = gamma_prime_beta(cfg_in, g)
         assert out.size <= 3 * cfg_in.size + 2 * sigma1 + 2 * math.log2(kb) + 16
+
+
+_EQUATIONS = {
+    "interleave": "interleave-language-equation",
+    "add_prefix": "add-prefix-language-equation",
+    "erase_closure": "erase-closure-language-equation",
+}
+# Each broken variant wraps the real rewrite: no `$` sentinels, one prefix
+# letter too many, no sentinels to erase.
+_BROKEN = {
+    "interleave": lambda real: lambda g, dollars, hashes, table:
+        real(g, 0, hashes, table),
+    "add_prefix": lambda real: lambda g, k, alphabet, table:
+        real(g, k + 1, alphabet, table),
+    "erase_closure": lambda real: lambda g, sentinels, table: real(g, [], table),
+}
+
+
+@pytest.mark.parametrize("name", list(_BROKEN))
+def test_cfg_suite_catches_broken_rewrites(monkeypatch, name):
+    # The exhaustive equations of `verify --suite cfg` fail exactly on the
+    # broken rewrite.  The re-targeting verdicts use the rewrites too, so
+    # they are not checked here.
+    monkeypatch.setattr(slglab.cfg, name, _BROKEN[name](getattr(slglab.cfg, name)))
+    verdicts = {v.check: v.ok for v in suite_cfg(0, 1, 4)
+                if v.check in _EQUATIONS.values()}
+    assert verdicts == {check: fn != name for fn, check in _EQUATIONS.items()}

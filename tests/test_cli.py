@@ -1,5 +1,6 @@
 """Command-line behavior: flag routing, file formats, exit codes, and the
 byte-determinism of verification reports."""
+import hashlib
 import importlib
 import io
 import pkgutil
@@ -116,6 +117,8 @@ def test_boost_answer_points(tmp_path):
         ("m -1\n", "line 1: m must be at least 1, got -1"),
         ("m 0\n1 1\n", "line 1: m must be at least 1, got 0"),
         ("m 3\n1 1\n2 2\n3 3\nm 2\n", "line 5: repeated m header"),
+        # a form feed ends a line, as in the other file formats
+        ("1\x0c1\n", "line 1: bad point line '1'"),
         # checked before padding to 4 x 4, which would add (4, 4) again
         ("1 1\n2 2\n4 4\n", "point (4, 4) outside the 3 x 3 grid"),
     ],
@@ -247,6 +250,20 @@ def test_verify_deterministic_output(capsys):
     assert first == second
     main(["verify", "--suite", "lzd", "--trials", "4", "--seed", "6"])
     assert capsys.readouterr().out != first
+
+
+@pytest.mark.parametrize("seed, digest", [
+    ("0", "02233521eae011f14a1b83388b56b4ff2c140adc15a16db377982ced5eaf5a4c"),
+    ("3", "23cf993ebdf541d5dd809668bd3edddf8ab6f63252673c4250bbc6870da2e74f"),
+], ids=["seed0", "seed3"])
+def test_verify_all_stream_is_pinned(capsys, monkeypatch, seed, digest):
+    # The verdict stream is a pure function of the seed.  A change that keeps
+    # every output keeps these digests; one that changes the stream on
+    # purpose updates them.
+    monkeypatch.delenv("SLGLAB_SEED", raising=False)
+    assert main(["verify", "--suite", "all", "--trials", "5", "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_env_seed_override(capsys, monkeypatch):

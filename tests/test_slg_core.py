@@ -1,4 +1,5 @@
 """Grammar model: expansion, measurements, conversions, and the text format."""
+import hashlib
 import os
 import random
 import subprocess
@@ -184,6 +185,29 @@ def test_isomorphic_is_equivalence_on_random_grammars():
     assert is_isomorphic(g, h) and is_isomorphic(h, g)
     assert stats(g) == stats(h)
     assert expand(g, g.start) == expand(h, h.start)
+
+
+# |V| from 1 to 200; odd draws get a cap near the median total expansion of
+# their size, so some are redrawn, and even draws a cap that never binds.
+_PINNED_SIZES = (1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22, 27, 33, 40, 48,
+                 58, 70, 84, 100, 115, 130, 145, 160, 170, 180, 190, 200)
+
+
+def test_random_admissible_slg_draws_are_pinned():
+    # The verify suites and the benchmark's inputs are these draws: a change
+    # to the generator that alters a grammar, or the number of RNG calls a
+    # draw makes, fails here.
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for i, nv in enumerate(_PINNED_SIZES):
+        cap = max(260, 25 * nv) if i % 2 else 10**9
+        g = random_admissible_slg(rng, nv, 1 + i % 4, cap, SymbolTable())
+        assert len(g.rules) == nv and is_admissible(g)
+        digest.update(serialize(g).encode())
+        digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == (
+        "314f66ab325d349ae0ea8da66fecc66b44f5efc3d55a756abe67892bab554a72"
+    )
 
 
 def test_random_access_examples(table, g0):
