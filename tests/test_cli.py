@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import pkgutil
+import random
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import slglab
 from slglab.cli import _ALGORITHMS, CliError, main
+from slglab.core import serialize
+from slglab.generate import random_admissible_slg
 from slglab.rna import parse_matched_alphabet
 from slglab.symbols import SymbolTable
 
@@ -232,6 +235,37 @@ def test_boost_rna_kinds_and_raw(tmp_path, g0_file, capsys):
     assert main(["boost", "--kind", "alpha", "--grammar", g0_file,
                  "--out", str(tmp_path / "rw"), "--raw"]) == 2
     assert "one byte" in capsys.readouterr().err
+
+
+def test_boost_outputs_are_pinned(tmp_path, g0_file, capsys):
+    # Every `boost` kind over g0 and six seeded admissible grammars with one
+    # alphabet file, plus `--kind answer`: a change that keeps every output
+    # keeps this digest.  Refusals count too, through the exit code and the
+    # message.
+    grammars = [g0_file]
+    for seed in range(6):
+        path = tmp_path / f"r{seed}.slg"
+        path.write_text(serialize(random_admissible_slg(
+            random.Random(seed), 2 + seed, 3, 260, SymbolTable())))
+        grammars.append(str(path))
+    alpha_file = tmp_path / "al.txt"
+    alpha_file.write_text("a ~ a' : 2\nb ~ b' : 1\nc ~ c' : 3\n")
+    pts = tmp_path / "p.txt"
+    pts.write_text("m 3\n1 2\n2 3\n3 1\n")
+    runs = [["--kind", kind, "--grammar", g, "--alphabet", str(alpha_file)]
+            for g in grammars
+            for kind in ("alpha", "beta", "gamma", "rna-alpha", "rna-beta")]
+    runs.append(["--kind", "answer", "--points", str(pts)])
+    digest = hashlib.sha256()
+    for i, run in enumerate(runs):
+        prefix = tmp_path / f"o{i}"
+        code = main(["boost", *run, "--out", str(prefix)])
+        digest.update(f"{code}\n{capsys.readouterr().err}".encode())
+        for suffix in (".text", ".meta"):
+            out = Path(f"{prefix}{suffix}")
+            digest.update(out.read_bytes() if out.exists() else b"<none>")
+    assert digest.hexdigest() == (
+        "a0cb4cacd4672c3b7ab4d41985fc1b606ad8166220efc899a64d4c254185c24a")
 
 
 def test_verify_suite_passes(capsys):
