@@ -42,8 +42,11 @@ from .compressors import (
     sequitur,
 )
 from .boost import (
+    AlphaBoost,
+    BetaBoost,
     BoostError,
     BoostResult,
+    FoldingBoost,
     GIGrammar,
     PointSet,
     alpha,

@@ -31,33 +31,49 @@ class BoostError(ValueError):
 
 @dataclass(frozen=True)
 class BoostResult:
-    """Boosted string plus the scaffolding needed to audit it.
+    """Boosted string plus the scaffolding every booster leaves to audit it.
 
     `ordering` is the canonical order of the input's nonterminals (index i
     names `ordering[i - 1]`) and `aux_grammar` the grammar whose expansions
-    `text` is laid out from.  The other fields depend on the booster:
-
-    - `alpha`: `offset` is the stride offset delta, so the j-th symbol of
-      the input's text sits at 1-based position delta + 2j - 1 of `text`;
-      `alphabet` is the tuple of the input's terminals, then $_1..$_|V| and
-      #_1..#_2|V|.
-    - `beta`: `offset` is None; `position_map[i]` holds the 1-based positions
-      in `text` of the symbols of exp(N_i) in the first copy of block i;
-      `alphabet` is the tuple of the input's terminals, then $_1..$_2|V|.
-    - `rna_alpha` and `rna_beta`: `offset` is delta, the folding value of
-      `text` minus twice (four times for `rna_beta`) the input's.
-    - `gamma`: `offset` is c0, half the folding value of `text` minus the
-      input's.
-    - The three folding boosters set `alphabet` to the input's matched
-      alphabet extended by the dollar and hash sentinels of `text`.
+    `text` is laid out from.
     """
 
     text: tuple[Symbol, ...]
     ordering: tuple[Symbol, ...]
-    offset: int | None
     aux_grammar: SLG
-    position_map: dict[int, tuple[int, ...]] | None = None
-    alphabet: object | None = None
+
+
+@dataclass(frozen=True)
+class AlphaBoost(BoostResult):
+    """`alpha`'s output.  `offset` is the stride offset delta: the j-th
+    symbol of the input's text sits at 1-based position delta + 2j - 1 of
+    `text`.  `alphabet` is the input's terminals, then $_1..$_|V| and
+    #_1..#_2|V|."""
+
+    offset: int
+    alphabet: tuple[Symbol, ...]
+
+
+@dataclass(frozen=True)
+class BetaBoost(BoostResult):
+    """`beta`'s output.  `position_map[i]` holds the 1-based positions in
+    `text` of the symbols of exp(N_i) in the first copy of block i.
+    `alphabet` is the input's terminals, then $_1..$_2|V|."""
+
+    position_map: dict[int, tuple[int, ...]]
+    alphabet: tuple[Symbol, ...]
+
+
+@dataclass(frozen=True)
+class FoldingBoost(BoostResult):
+    """The output of a folding booster.  `offset` is delta for `rna_alpha`
+    and `rna_beta`: the folding value of `text` minus twice (four times for
+    `rna_beta`) the input's.  For `gamma` it is c0: half the folding value
+    of `text` minus the input's.  `alphabet` is the input's matched alphabet
+    extended by the dollar and hash sentinels of `text`."""
+
+    offset: int
+    alphabet: MatchedAlphabet
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,7 @@ def _mirrored(gp: SLG, match) -> SLG:
 # Alpha: doubled sentinel-interleaved expansions
 
 
-def alpha(g: SLG) -> BoostResult:
+def alpha(g: SLG) -> AlphaBoost:
     _require_admissible(g)
     _require_fresh_sentinels(g.terminals(), [D, H])
     table = g.table
@@ -156,13 +172,8 @@ def alpha(g: SLG) -> BoostResult:
     sigma = tuple(sorted(g.terminals(), key=lambda s: s.id)) + tuple(
         table.sentinel(D, i) for i in range(1, nv + 1)
     ) + tuple(table.sentinel(H, i) for i in range(1, 2 * nv + 1))
-    return BoostResult(
-        text=tuple(w),
-        ordering=order,
-        offset=delta,
-        aux_grammar=gp,
-        alphabet=sigma,
-    )
+    return AlphaBoost(text=tuple(w), ordering=order, aux_grammar=gp,
+                      offset=delta, alphabet=sigma)
 
 
 def _bexp_all(g: SLG, index_set):
@@ -253,7 +264,7 @@ def _beta_grammar(g: SLG, order, table: SymbolTable):
     return SLG(rules, sp, table), n0
 
 
-def beta(g: SLG) -> BoostResult:
+def beta(g: SLG) -> BetaBoost:
     _require_admissible(g)
     table = g.table
     order = canonical_order(g)
@@ -271,15 +282,10 @@ def beta(g: SLG) -> BoostResult:
             len(w) + p for p, s in enumerate(exp0[i], start=1) if s in terms)
         w += exp0[i]
         w += exp0[i]
-    return BoostResult(
-        text=tuple(w),
-        ordering=order,
-        offset=None,
-        aux_grammar=gp,
-        position_map=position_map,
-        alphabet=tuple(sorted(g.terminals(), key=lambda s: s.id))
-        + tuple(table.sentinel(D, i) for i in range(1, 2 * len(order) + 1)),
-    )
+    sigma = tuple(sorted(terms, key=lambda s: s.id)) + tuple(
+        table.sentinel(D, i) for i in range(1, 2 * len(order) + 1))
+    return BetaBoost(text=tuple(w), ordering=order, aux_grammar=gp,
+                     position_map=position_map, alphabet=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +346,7 @@ def _q_values(g: SLG, a: MatchedAlphabet):
     return {n: lens[n] - 1 + wsum[n] for n in g.rules}
 
 
-def rna_alpha(g: SLG, a: MatchedAlphabet) -> BoostResult:
+def rna_alpha(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Mirrored-and-matched alpha booster: the folding value of the output
     equals twice the input's plus a closed-form offset."""
     order = _folding_order(g, a, [D, DP, H, HP])
@@ -357,16 +363,11 @@ def rna_alpha(g: SLG, a: MatchedAlphabet) -> BoostResult:
     expp = expand_all(_mirrored(gaux, extended.match))
     v = _doubled(expp, order, table, HP, range(nv, 0, -1), mirrored=True)
     v += _doubled(expa, order, table, H, range(1, nv + 1))
-    return BoostResult(
-        text=tuple(v),
-        ordering=order,
-        offset=delta,
-        aux_grammar=gaux,
-        alphabet=extended,
-    )
+    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gaux,
+                        offset=delta, alphabet=extended)
 
 
-def rna_beta(g: SLG, a: MatchedAlphabet) -> BoostResult:
+def rna_beta(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Four-quarter booster targeted at the online parser; the folding value
     equals four times the input's plus a closed-form offset."""
     order = _folding_order(g, a, [D, DP, HL, HR, HPL, HPR])
@@ -389,16 +390,11 @@ def rna_beta(g: SLG, a: MatchedAlphabet) -> BoostResult:
     v += _doubled(expa, order, table, HR, backward)
     v += _doubled(expp, order, table, HPL, forward, mirrored=True)
     v += _doubled(expp, order, table, HPR, backward, mirrored=True)
-    return BoostResult(
-        text=tuple(v),
-        ordering=order,
-        offset=delta,
-        aux_grammar=gaux,
-        alphabet=extended,
-    )
+    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gaux,
+                        offset=delta, alphabet=extended)
 
 
-def gamma(g: SLG, a: MatchedAlphabet) -> BoostResult:
+def gamma(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Doubled-block booster aimed at the two-part dictionary parser; the
     folding value of the output is the input's plus twice the block weight."""
     order = _folding_order(g, a, [D, DP, H])
@@ -427,13 +423,8 @@ def gamma(g: SLG, a: MatchedAlphabet) -> BoostResult:
         v += y_exp[n]
     v += [h3, h4]
     v += x_exp[n0[-1]]
-    return BoostResult(
-        text=tuple(v),
-        ordering=order,
-        offset=c0,
-        aux_grammar=gp,
-        alphabet=extended,
-    )
+    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gp,
+                        offset=c0, alphabet=extended)
 
 
 def alpha_sentinel_counts(g: SLG) -> tuple[int, int]:

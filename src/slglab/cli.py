@@ -13,7 +13,7 @@ import time
 
 from . import boost, verify
 from . import compressors as comp
-from .rna import MatchedAlphabet, parse_matched_alphabet
+from .rna import parse_matched_alphabet
 from .core import (
     SLG,
     _content_lines,
@@ -37,20 +37,31 @@ _ALGORITHMS = {
     "lzd": lambda u, t: comp.lzd(u, t)[1],
 }
 
+# Each booster with the name of its offset in `.meta`, if it has one, and
+# whether it folds, taking the matched alphabet of --alphabet.
+_BOOSTERS = {
+    "alpha": (boost.alpha, "delta", False),
+    "beta": (boost.beta, None, False),
+    "gamma": (boost.gamma, "c0", True),
+    "rna-alpha": (boost.rna_alpha, "delta", True),
+    "rna-beta": (boost.rna_beta, "delta", True),
+}
+
 
 class CliError(Exception):
     pass
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_input(path: str) -> str:
-    if path == "-":
-        data = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+    data = sys.stdin.read() if path == "-" else _read_file(path)
     if data.endswith("\n"):
         data = data[:-1]
     if not data:
@@ -87,11 +98,7 @@ def cmd_compress(args) -> int:
 
 
 def _load_grammar(path: str, table: SymbolTable, admissify: bool) -> SLG:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            g = deserialize(fh.read(), table)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    g = deserialize(_read_file(path), table)
     if not is_admissible(g):
         if not admissify:
             raise CliError(
@@ -102,14 +109,9 @@ def _load_grammar(path: str, table: SymbolTable, admissify: bool) -> SLG:
 
 
 def _load_points(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
     m = None
     points = []
-    for line_no, ln in _content_lines(text):
+    for line_no, ln in _content_lines(_read_file(path)):
         try:
             if ln.startswith("m "):
                 if m is not None:
@@ -154,44 +156,29 @@ def cmd_boost(args) -> int:
     if not args.grammar:
         raise CliError("--grammar is required for this kind")
     g = _load_grammar(args.grammar, table, args.admissify)
-    alphabet = None
-    if args.kind in ("gamma", "rna-alpha", "rna-beta"):
+    booster, offset_name, folds = _BOOSTERS[args.kind]
+    if folds:
         if not args.alphabet:
             raise CliError(f"--kind {args.kind} needs --alphabet")
-        try:
-            with open(args.alphabet, "r", encoding="utf-8") as fh:
-                alphabet = parse_matched_alphabet(fh.read(), table)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.alphabet}: {exc}") from exc
-
-    if args.kind == "alpha":
-        result = boost.alpha(g)
-    elif args.kind == "beta":
-        result = boost.beta(g)
-    elif args.kind == "rna-alpha":
-        result = boost.rna_alpha(g, alphabet)
-    elif args.kind == "rna-beta":
-        result = boost.rna_beta(g, alphabet)
+        result = booster(g, parse_matched_alphabet(_read_file(args.alphabet), table))
     else:
-        result = boost.gamma(g, alphabet)
+        result = booster(g)
 
     _write_output(f"{args.out}.text", _boost_text(result, args.raw))
     meta_lines.append(f"len={len(result.text)}")
-    if args.kind in ("alpha", "rna-alpha", "rna-beta"):
-        meta_lines.append(f"delta={result.offset}")
-    if args.kind == "gamma":
-        meta_lines.append(f"c0={result.offset}")
+    if offset_name is not None:
+        meta_lines.append(f"{offset_name}={result.offset}")
     meta_lines.append(
         "ordering=" + " ".join(n.display for n in result.ordering)
     )
-    if result.position_map is not None:
+    if offset_name is None:  # beta places the input's text by a position map
         for i in sorted(result.position_map):
             positions = " ".join(str(p) for p in result.position_map[i])
             meta_lines.append(f"positions[{i}]={positions}")
-    if isinstance(result.alphabet, MatchedAlphabet):
+    if folds:
         meta_lines.append("alphabet:")
         meta_lines.append(result.alphabet.serialize().rstrip("\n"))
-    elif result.alphabet is not None:
+    else:
         meta_lines.append(
             "alphabet=" + " ".join(s.display for s in result.alphabet)
         )
@@ -239,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["alpha", "beta", "gamma", "rna-alpha", "rna-beta", "answer"],
+        choices=[*_BOOSTERS, "answer"],
     )
     p.add_argument("--grammar", default=None)
     p.add_argument("--alphabet", default=None, help="matched alphabet file")

@@ -37,10 +37,17 @@ def random_admissible_slg(
     nonterminal (never an ancestor, so the rule graph stays acyclic) or take
     a terminal.  Grammars whose total expansion exceeds the cap are redrawn.
     A slot holds the index of its head in creation order, so the strictly
-    later nonterminals are the ones after that index.
+    later nonterminals are the ones after that index.  A cap below 2|V| is
+    refused before any draw: every nonterminal expands to two symbols or
+    more.
     """
     if num_nonterminals < 1:
         raise ValueError("need at least one nonterminal")
+    if max_total_expansion < 2 * num_nonterminals:
+        raise ValueError(
+            f"no grammar with |V| = {num_nonterminals} fits under the expansion "
+            f"cap {max_total_expansion}: it needs at least {2 * num_nonterminals}"
+        )
     alpha = terminal_alphabet(table, alphabet_size)
 
     for _ in range(200):
@@ -74,7 +81,10 @@ def random_admissible_slg(
         if total <= max_total_expansion:
             assert is_admissible(g)
             return g
-    raise RuntimeError("could not draw a grammar under the expansion cap")
+    raise ValueError(
+        f"could not draw a grammar with |V| = {num_nonterminals} under the "
+        f"expansion cap {max_total_expansion}"
+    )
 
 
 def random_admissible_slg_with_expansion(
@@ -110,7 +120,9 @@ def random_slg(
         g = SLG(rules, heads[-1], table)
         if g.expansion_lengths()[g.start] >= 2:
             return g
-    raise RuntimeError("could not draw a grammar with expansion >= 2")
+    raise ValueError(
+        f"could not draw a grammar with |V| = {num_nonterminals} and expansion >= 2"
+    )
 
 
 def random_dyadic_slg(

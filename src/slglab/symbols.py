@@ -41,13 +41,17 @@ class SentinelFamily(Enum):
         return _SENTINEL_BASE + self.value[0] * _FAMILY_SPAN + index
 
 
-_SENTINEL_RE = re.compile(r"^(\$_|\$'_|#_|#'_|#L_|#R_|#'L_|#'R_)([0-9]+)$")
 _PREFIX_TO_FAMILY = {fam.prefix: fam for fam in SentinelFamily}
+# Only a family's own display of an index names a sentinel; any other token,
+# such as $_01 or $_0, is an ordinary symbol.
+_SENTINEL_RE = re.compile(
+    "(" + "|".join(map(re.escape, _PREFIX_TO_FAMILY)) + ")([1-9][0-9]*)"
+)
 
 
 def parse_sentinel_display(display: str) -> tuple[SentinelFamily, int] | None:
     """Return (family, index) when `display` renders a sentinel, else None."""
-    m = _SENTINEL_RE.match(display)
+    m = _SENTINEL_RE.fullmatch(display)
     if m is None:
         return None
     return _PREFIX_TO_FAMILY[m.group(1)], int(m.group(2))

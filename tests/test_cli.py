@@ -331,6 +331,14 @@ def test_verify_rejects_counts_below_one(capsys, flag, value):
     assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
 
 
+def test_verify_with_too_many_nonterminals_exits_2(capsys):
+    # No grammar of 57 nonterminals was drawn under the suites' 260-symbol
+    # cap, and the generator's error used to end in a traceback.
+    assert main(["verify", "--suite", "sequential", "--trials", "3",
+                 "--max-nonterms", "60", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     assert main(["verify", "--suite", "nosuch"]) == 2
     assert main(["compress"]) == 2

@@ -26,7 +26,12 @@ from slglab import (
     stats,
 )
 from slglab.generate import random_admissible_slg, random_slg
-from slglab.symbols import SentinelFamily, SymbolError, SymbolTable
+from slglab.symbols import (
+    SentinelFamily,
+    SymbolError,
+    SymbolTable,
+    parse_sentinel_display,
+)
 
 from conftest import PROPERTY, interned, slg_order_reference
 
@@ -210,6 +215,16 @@ def test_random_admissible_slg_draws_are_pinned():
     )
 
 
+def test_random_admissible_slg_refuses_a_cap_below_two_per_nonterminal():
+    # Every nonterminal expands to two symbols or more, so 200 of them never
+    # fit under 260: the generator says so before its first draw.
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"\|V\| = 200 .* cap 260"):
+        random_admissible_slg(rng, 200, 4, 260, SymbolTable())
+    assert rng.getstate() == state
+
+
 def test_random_access_examples(table, g0):
     assert random_access(g0, 3).display == "a"
     assert random_access(g0, 1).display == "a"
@@ -255,6 +270,19 @@ def test_serialize_sentinels_roundtrip(table):
     assert "$_3" in text
     back = deserialize(text, table)
     assert back.rules[s] == (a, d3)
+
+
+def test_only_canonical_sentinel_displays_name_sentinels(table):
+    # $_01 used to name $_1 as well, and came back out as a second $_1.
+    text = "S -> $_01 $_1 a\n"
+    g = deserialize(text, table)
+    assert serialize(g) == text
+    assert len(set(g.rules[g.start])) == 3
+    for fam in SentinelFamily:
+        for i in (1, 9, 10, 999_999):
+            assert parse_sentinel_display(fam.display(i)) == (fam, i)
+        assert parse_sentinel_display(f"{fam.prefix}0") is None
+        assert parse_sentinel_display(f"{fam.prefix}01") is None
 
 
 def test_parse_errors(table):
