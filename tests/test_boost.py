@@ -1,5 +1,6 @@
 """Boosting constructions: length and offset identities, the intermediate
 grammar family, answer strings, and the run-length predecessor string."""
+import dataclasses
 import math
 import random
 import sys
@@ -7,7 +8,11 @@ import sys
 import pytest
 
 from slglab import (
+    AlphaBoost,
+    BetaBoost,
     BoostError,
+    BoostResult,
+    FoldingBoost,
     MatchedAlphabet,
     PointSet,
     SLG,
@@ -224,6 +229,17 @@ def test_beta_per_nonterminal_lengths():
 
 
 # -- folding boosters -----------------------------------------------------------
+
+
+def test_each_booster_returns_its_own_frozen_type(table, g0):
+    alphabet = _unit_alphabet(table)
+    results = [alpha(g0), beta(g0), rna_alpha(g0, alphabet),
+               rna_beta(g0, alphabet), gamma(g0, alphabet)]
+    assert [type(r) for r in results] == [AlphaBoost, BetaBoost] + [FoldingBoost] * 3
+    for r in results:
+        assert isinstance(r, BoostResult)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.text = ()
 
 
 def test_rna_alpha_g0(table, g0):
