@@ -105,45 +105,89 @@ def test_cfg_text_roundtrip(table):
     assert serialize_cfg(parse_cfg(serialize_cfg(g), table)) == serialize_cfg(g)
 
 
-def _random_cfg(rng, table, terminals):
+def _random_cfg(rng, table, terminals, eps_bodies=1, cyclic=False, max_body=3):
+    """Up to `eps_bodies` epsilon bodies; a body names only its own head and
+    later nonterminals unless `cyclic`, so unit cycles need `cyclic`."""
     nts = [table.fresh_nonterminal("C") for _ in range(rng.randint(1, 3))]
     rules = []
-    eps_budget = 1
     for i, head in enumerate(nts):
         for _ in range(rng.randint(1, 3)):
-            lo = 0 if eps_budget else 1
-            ln = rng.randint(lo, 3)
+            ln = rng.randint(0 if eps_bodies else 1, max_body)
             if ln == 0:
-                eps_budget -= 1
-            pool = list(terminals) + nts[i:]
+                eps_bodies -= 1
+            pool = list(terminals) + (nts if cyclic else nts[i:])
             rules.append((head, tuple(rng.choice(pool) for _ in range(ln))))
     rules.append((nts[-1], (rng.choice(list(terminals)),)))
     return CFG(tuple(rules), nts[0])
 
 
-def test_cyk_agrees_with_derivation_search():
+def _shapes(g):
+    """Tags for the rule shapes in `g` that a normal form must handle:
+    body lengths other than 1, "unit", "epsilons" (two or more epsilon
+    bodies), "unit cycle" (through two or more nonterminals) and "nullable
+    pair" (a two-symbol body with a nullable side)."""
+    shapes = {len(body) for _, body in g.rules if len(body) != 1}
+    if sum(1 for _, body in g.rules if not body) > 1:
+        shapes.add("epsilons")
+    units: dict = {}
+    for head, body in g.rules:
+        if len(body) == 1 and body[0].is_nonterminal():
+            shapes.add("unit")
+            if body[0] != head:
+                units.setdefault(head, set()).add(body[0])
+    for origin, targets in units.items():
+        seen, stack = set(), list(targets)
+        while stack:
+            x = stack.pop()
+            if x == origin:
+                shapes.add("unit cycle")
+            elif x not in seen:
+                seen.add(x)
+                stack.extend(units.get(x, ()))
+    nullable: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for head, body in g.rules:
+            if head not in nullable and all(s in nullable for s in body):
+                nullable.add(head)
+                grew = True
+    if any(len(body) == 2 and nullable & set(body) for _, body in g.rules):
+        shapes.add("nullable pair")
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "grammars, max_len, setting, min_checked, must_occur",
+    [
+        (100, 6, {}, 5000, {0, "unit", 3}),
+        (
+            150, 5, {"eps_bodies": 3, "cyclic": True, "max_body": 2}, 6000,
+            {"epsilons", "unit cycle", "nullable pair"},
+        ),
+    ],
+    ids=["one-epsilon", "nullable-cycles"],
+)
+def test_cyk_agrees_with_derivation_search(grammars, max_len, setting, min_checked, must_occur):
     """The recogniser, the table CYK and derivation search agree on every
-    string up to length 6, over grammars with epsilon bodies, unit rules
-    and bodies of length 3."""
+    string up to `max_len`.  The first setting has at most one epsilon body
+    per grammar, unit rules and bodies of length 3; the second has several
+    epsilon bodies, unit cycles and pairs with a nullable side."""
     rng = random.Random(89)
     checked = 0
     shapes = set()
-    for _ in range(100):
+    for _ in range(grammars):
         t = SymbolTable()
         terminals = [t.terminal(c) for c in "ab"]
-        g = _random_cfg(rng, t, terminals)
-        for _, body in g.rules:
-            if len(body) != 1:
-                shapes.add(len(body))
-            elif body[0].is_nonterminal():
-                shapes.add("unit")
+        g = _random_cfg(rng, t, terminals, **setting)
+        shapes |= _shapes(g)
         used = sorted(g.terminals(), key=lambda s: s.id)
-        members = cfg_language_upto(g, 6)
-        for w in all_strings_upto(used, 6):
+        members = cfg_language_upto(g, max_len)
+        for w in all_strings_upto(used, max_len):
             assert cyk_member(g, w) == cyk_member_table(g, w) == (w in members)
             checked += 1
-    assert checked > 5000
-    assert {0, "unit", 3} <= shapes
+    assert checked > min_checked
+    assert must_occur <= shapes
 
 
 def test_interleave_examples(table):
