@@ -1,15 +1,18 @@
 """General context-free grammars: membership and the language-preserving
 transformations that re-target a CFG at boosted strings.
 
-Membership runs a bit-vector CYK recogniser after normalization (binarize,
-remove epsilon and unit rules, isolate terminals, number the nonterminals
-densely).  The transformations are size-linear rewrites:
+Membership runs a bit-vector CYK recogniser on the binary normal form 2NF of
+Lange and Leiss ("To CNF or not to CNF?", Informatica Didactica 2009): long
+bodies are binarized, and epsilon and unit rules stay, closed once into the
+heads each symbol stands for.  The transformations are size-linear rewrites:
 interposing a wildcard between symbols, prepending a fixed-length block, and
-closing the language under sentinel insertion.
+closing the language under sentinel insertion.  `serialize_cfg` refuses a
+symbol whose display would read back as something else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import count
 
 from .boost import alpha_sentinel_counts, beta_sentinel_counts
@@ -65,9 +68,17 @@ class CFG:
 
 
 def serialize_cfg(g: CFG) -> str:
+    """The text form that `parse_cfg` reads back.  Raises `CfgError` for a
+    symbol that would read back as something else: a display `_` (epsilon)
+    or holding `|` (an alternative), or a head holding `->` or displayed `#`
+    (a comment line)."""
     by_head: dict[Symbol, list[tuple[Symbol, ...]]] = {}
     order: list[Symbol] = []
     for head, body in g.rules:
+        for s in (head, *body):
+            d = s.display
+            if d == "_" or "|" in d or s == head and ("->" in d or d == "#"):
+                raise CfgError(f"symbol {d} has no text form that reads back")
         if head not in by_head:
             by_head[head] = []
             order.append(head)
@@ -117,9 +128,10 @@ def parse_cfg(text: str, table: SymbolTable) -> CFG:
 
 
 class _Compiled:
-    """Normal form of a CFG over dense nonterminal indices
-    `0..len(binary_left)-1`: every remaining rule is `A -> t` (in `unary`)
-    or `A -> X C` (in `binary_left`); epsilon and unit rules are gone, and
+    """2NF of a CFG (Lange and Leiss 2009) over dense indices
+    `0..len(binary_left)-1`, one per terminal, nonterminal and helper.
+    `unary[t]` is heads(t), and a rule A -> X C puts (C, h) under X for every
+    h in heads(A) (see `_compile`), so each rule joins two nonempty spans.
     `nullable_start` records whether the empty string is in the language."""
 
     __slots__ = ("term_ids", "unary", "binary_left", "start", "nullable_start")
@@ -150,81 +162,48 @@ def _compile(g: CFG) -> _Compiled:
             head, body = helper, body[1:]
         binned.append((head, body))
 
-    # 2. nullable closure, then epsilon removal
+    # 2. nullable closure; only heads join, so terminals never do
     nullable: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in binned:
-            if head in nullable:
-                continue
-            if all(s not in term_ids and s in nullable for s in body):
-                nullable.add(head)
-                changed = True
-    stripped: set[tuple[int, tuple[int, ...]]] = set()
+    size = -1
+    while size != len(nullable):
+        size = len(nullable)
+        nullable.update(head for head, body in binned if nullable.issuperset(body))
+
+    # 3. X stands for A alone when the rest of a body of A is nullable;
+    #    heads(X) is X and everything it stands for, in turn
+    up: dict[int, list[int]] = {}
     for head, body in binned:
-        variants = [()]
-        for s in body:
-            keep = [v + (s,) for v in variants]
-            if s not in term_ids and s in nullable:
-                keep += variants
-            variants = keep
-        for v in variants:
-            if v:
-                stripped.add((head, v))
+        for i, x in enumerate(body):
+            if nullable.issuperset(body[:i] + body[i + 1:]):
+                up.setdefault(x, []).append(head)
 
-    # 3. unit closure
-    unit: dict[int, set[int]] = {}
-    proper: dict[int, list[tuple[int, ...]]] = {}
-    for head, body in stripped:
-        if len(body) == 1 and body[0] not in term_ids:
-            unit.setdefault(head, set()).add(body[0])
-        else:
-            proper.setdefault(head, []).append(body)
-    final = {(head, body) for head, bodies in proper.items() for body in bodies}
-    for origin in unit:
-        seen = set(unit[origin])
-        queue = list(seen)
-        while queue:
-            t = queue.pop()
-            for nxt in unit.get(t, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        for t in seen:
-            for body in proper.get(t, ()):
-                final.add((origin, body))
-
-    # 4. dense indices; isolate terminals inside binary bodies
+    # 4. dense indices over terminals, nonterminals and helpers; a rule
+    #    A -> X C joins X and C into every head of A
     index: dict[int, int] = {}
 
     def dense(x: int) -> int:
         return index.setdefault(x, len(index))
 
-    preterm: dict[int, int] = {}
-    unary: dict[int, list[int]] = {}
+    @cache
+    def heads(x: int) -> tuple[int, ...]:
+        found, seen = [x], {x}
+        for y in found:
+            for a in up.get(y, ()):
+                if a not in seen:
+                    seen.add(a)
+                    found.append(a)
+        return tuple(dense(a) for a in found)
+
+    unary = {t: heads(t) for t in term_ids}
     binary_left: dict[int, list[tuple[int, int]]] = {}
-
-    def pre(t: int) -> int:
-        if t not in preterm:
-            h = dense(fresh())
-            preterm[t] = h
-            unary.setdefault(t, []).append(h)
-        return preterm[t]
-
-    for head, body in final:
-        h = dense(head)
-        if len(body) == 1:
-            unary.setdefault(body[0], []).append(h)
-        else:
-            left, right = body
-            left = pre(left) if left in term_ids else dense(left)
-            right = pre(right) if right in term_ids else dense(right)
-            binary_left.setdefault(left, []).append((right, h))
+    for head, body in binned:
+        if len(body) == 2:
+            left, right = map(dense, body)
+            binary_left.setdefault(left, []).extend((right, h) for h in heads(head))
 
     compiled = _Compiled(
         term_ids,
-        {t: tuple(unary.get(t, ())) for t in term_ids},
+        unary,
         tuple(tuple(binary_left.get(x, ())) for x in range(len(index))),
         index.get(start),
         start in nullable,

@@ -109,6 +109,8 @@ def random_slg(
     table: SymbolTable,
 ) -> SLG:
     """General SLG (bodies of length 1..4, possibly unreachable rules)."""
+    if num_nonterminals < 1:
+        raise ValueError("need at least one nonterminal")
     alpha = terminal_alphabet(table, alphabet_size)
     for _ in range(100):
         heads = [table.fresh_nonterminal("H") for _ in range(num_nonterminals)]

@@ -60,7 +60,10 @@ class _Suite:
 
 def _fresh_admissible(rng, max_nonterms):
     nv = rng.randint(1, max_nonterms)
-    return gen.random_admissible_slg(rng, nv, 4, 260, SymbolTable())
+    try:
+        return gen.random_admissible_slg(rng, nv, 4, 260, SymbolTable())
+    except ValueError as exc:
+        raise ValueError(f"{exc} (|V| is drawn from 1 to --max-nonterms {max_nonterms})") from exc
 
 
 # ---------------------------------------------------------------------------

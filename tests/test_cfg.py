@@ -1,6 +1,7 @@
 """CFG membership against a derivation-search oracle, the three primitive
 transformations on exhaustive string sets, and end-to-end re-targeting."""
 import random
+import re
 
 import pytest
 
@@ -103,6 +104,25 @@ def test_cfg_text_roundtrip(table):
     text = "S -> A B | _\nA -> a | a A\nB -> b\n"
     g = _cfg(table, text)
     assert serialize_cfg(parse_cfg(serialize_cfg(g), table)) == serialize_cfg(g)
+
+
+@pytest.mark.parametrize(
+    "display, as_head",
+    [("_", False), ("a|b", False), ("x->y", True), ("#", True)],
+    ids=["epsilon", "alternatives", "arrow-head", "comment-head"],
+)
+def test_serialize_cfg_refuses_symbols_that_do_not_read_back(table, display, as_head):
+    """`_` would read back as epsilon, `a|b` as two alternatives, a head
+    `x->y` as the head `x`, and the line `# -> a` as a comment."""
+    a = table.terminal("a")
+    if as_head:
+        head = table.nonterminal(display)
+        g = CFG(((head, (a,)),), head)
+    else:
+        head = table.nonterminal("S")
+        g = CFG(((head, (a, table.terminal(display))),), head)
+    with pytest.raises(CfgError, match=f"^symbol {re.escape(display)} has no text form"):
+        serialize_cfg(g)
 
 
 def _random_cfg(rng, table, terminals, eps_bodies=1, cyclic=False, max_body=3):

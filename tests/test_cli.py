@@ -333,10 +333,16 @@ def test_verify_rejects_counts_below_one(capsys, flag, value):
 
 def test_verify_with_too_many_nonterminals_exits_2(capsys):
     # No grammar of 57 nonterminals was drawn under the suites' 260-symbol
-    # cap, and the generator's error used to end in a traceback.
+    # cap, and the generator's error used to end in a traceback.  The
+    # message names the flag the count was drawn from.
     assert main(["verify", "--suite", "sequential", "--trials", "3",
                  "--max-nonterms", "60", "--seed", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: could not draw a grammar with |V| = 57 under the expansion cap 260"
+        " (|V| is drawn from 1 to --max-nonterms 60)\n"
+    )
 
 
 def test_usage_error_exit_code():

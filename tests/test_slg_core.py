@@ -146,6 +146,13 @@ def test_make_admissible_random(table):
         assert stats(out).total_expansion <= factor * stats(g).total_expansion
 
 
+@pytest.mark.parametrize("draw", [random_slg, random_admissible_slg])
+def test_random_grammars_refuse_zero_nonterminals(draw):
+    args = (2, SymbolTable()) if draw is random_slg else (2, 10, SymbolTable())
+    with pytest.raises(ValueError, match="^need at least one nonterminal$"):
+        draw(random.Random(1), 0, *args)
+
+
 def test_isomorphic_rename(table, g0):
     a, b = table.terminal("a"), table.terminal("b")
     s, m = table.nonterminal("S7"), table.nonterminal("M7")
