@@ -140,7 +140,7 @@ class _Compiled:
         self.term_ids = term_ids        # frozenset of terminal ids
         self.unary = unary              # each terminal id -> tuple of head indices
         self.binary_left = binary_left  # left index -> tuple of (right, head)
-        self.start = start              # start index, None if no rule mentions it
+        self.start = start              # start index, None if no compiled rule mentions it
         self.nullable_start = nullable_start
 
 
