@@ -129,9 +129,11 @@ def parse_cfg(text: str, table: SymbolTable) -> CFG:
 
 class _Compiled:
     """2NF of a CFG (Lange and Leiss 2009) over dense indices
-    `0..len(binary_left)-1`, one per terminal, nonterminal and helper.
-    `unary[t]` is heads(t), and a rule A -> X C puts (C, h) under X for every
-    h in heads(A) (see `_compile`), so each rule joins two nonempty spans.
+    `0..len(binary_left)-1`, one per nonterminal and helper and one per
+    terminal that occurs on a binary side.  `unary[t]` holds heads(t), the
+    nonterminals and helpers t stands for, and holds t itself only when t is
+    on a binary side.  A rule A -> X C puts (C, h) under X once for every h in
+    heads(A) (see `_compile`), so each rule joins two nonempty spans.
     `nullable_start` records whether the empty string is in the language."""
 
     __slots__ = ("term_ids", "unary", "binary_left", "start", "nullable_start")
@@ -177,8 +179,8 @@ def _compile(g: CFG) -> _Compiled:
             if nullable.issuperset(body[:i] + body[i + 1:]):
                 up.setdefault(x, []).append(head)
 
-    # 4. dense indices over terminals, nonterminals and helpers; a rule
-    #    A -> X C joins X and C into every head of A
+    # 4. dense indices over nonterminals, helpers and the terminals on a
+    #    binary side; a rule A -> X C joins X and C into every head of A
     index: dict[int, int] = {}
 
     def dense(x: int) -> int:
@@ -192,14 +194,17 @@ def _compile(g: CFG) -> _Compiled:
                 if a not in seen:
                     seen.add(a)
                     found.append(a)
-        return tuple(dense(a) for a in found)
+        return tuple(found)
 
-    unary = {t: heads(t) for t in term_ids}
-    binary_left: dict[int, list[tuple[int, int]]] = {}
+    binary_left: dict[int, dict[tuple[int, int], None]] = {}
     for head, body in binned:
         if len(body) == 2:
             left, right = map(dense, body)
-            binary_left.setdefault(left, []).extend((right, h) for h in heads(head))
+            row = binary_left.setdefault(left, {})
+            row.update(dict.fromkeys((right, dense(h)) for h in heads(head)))
+    unary = {
+        t: tuple(dense(a) for a in heads(t) if a != t or t in index) for t in term_ids
+    }
 
     compiled = _Compiled(
         term_ids,

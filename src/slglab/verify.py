@@ -5,6 +5,10 @@ acceptance tests.
 Each suite generates its instances from a seeded RNG and emits one verdict
 line per check per trial.  Lines carry stable check identifiers and expected
 versus actual values; output is a pure function of the seed.
+
+The suites of one instance family share one trial loop: `_boosted` for the
+global, Sequential, Sequitur and LZD suites, `_folded` for rna-alpha, rna-beta
+and gamma.  A new law on such instances is one more verdict in that loop.
 """
 from __future__ import annotations
 
@@ -58,12 +62,15 @@ class _Suite:
         return bool(ok)
 
 
-def _fresh_admissible(rng, max_nonterms):
-    nv = rng.randint(1, max_nonterms)
-    try:
-        return gen.random_admissible_slg(rng, nv, 4, 260, SymbolTable())
-    except ValueError as exc:
-        raise ValueError(f"{exc} (|V| is drawn from 1 to --max-nonterms {max_nonterms})") from exc
+def _boosted(s: _Suite, trials: int, max_nonterms: int, booster):
+    """Each trial's number, fresh admissible grammar, |V| and `booster` result."""
+    for trial in range(1, trials + 1):
+        nv = s.rng.randint(1, max_nonterms)
+        try:
+            g = gen.random_admissible_slg(s.rng, nv, 4, 260, SymbolTable())
+        except ValueError as exc:
+            raise ValueError(f"{exc} (|V| is drawn from 1 to --max-nonterms {max_nonterms})") from exc
+        yield trial, g, len(g.rules), booster(g)
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +79,8 @@ def _fresh_admissible(rng, max_nonterms):
 def suite_global(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     """Alpha identities plus the 7/2|G| law for all four global strategies."""
     s = _Suite("global", seed)
-    for trial in range(1, trials + 1):
-        g = _fresh_admissible(s.rng, max_nonterms)
-        nv = len(g.rules)
+    for trial, g, nv, r in _boosted(s, trials, max_nonterms, boost.alpha):
         total = sum(g.expansion_lengths().values())
-        r = boost.alpha(g)
         w = r.text
         s.record(trial, "alpha-length-4x", 4 * total, len(w))
         u = expand(g, g.start)
@@ -106,36 +110,25 @@ def suite_global(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
 
 def suite_sequential(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     s = _Suite("sequential", seed)
-    for trial in range(1, trials + 1):
-        g = _fresh_admissible(s.rng, max_nonterms)
-        nv = len(g.rules)
-        w = boost.alpha(g).text
-        out = comp.sequential(w, g.table)
+    for trial, g, nv, r in _boosted(s, trials, max_nonterms, boost.alpha):
+        out = comp.sequential(r.text, g.table)
         s.record(trial, "sequential-size-7/2|G|", 7 * nv, out.size)
-        s.record_bool(
-            trial, "sequential-irreducible", comp.is_irreducible(out)
-        )
+        s.record_bool(trial, "sequential-irreducible", comp.is_irreducible(out))
     return s.verdicts
 
 
 def suite_sequitur(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     s = _Suite("sequitur", seed)
-    for trial in range(1, trials + 1):
-        g = _fresh_admissible(s.rng, max_nonterms)
-        nv = len(g.rules)
-        w = boost.alpha(g).text
-        out = comp.sequitur(w, g.table)
+    for trial, g, nv, r in _boosted(s, trials, max_nonterms, boost.alpha):
+        out = comp.sequitur(r.text, g.table)
         s.record(trial, "sequitur-size-7/2|G|", 7 * nv, out.size)
     return s.verdicts
 
 
 def suite_lzd(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     s = _Suite("lzd", seed)
-    for trial in range(1, trials + 1):
-        g = _fresh_admissible(s.rng, max_nonterms)
-        nv = len(g.rules)
+    for trial, g, nv, r in _boosted(s, trials, max_nonterms, boost.beta):
         total = sum(g.expansion_lengths().values())
-        r = boost.beta(g)
         s.record(trial, "beta-length-6x-4V", 6 * total - 4 * nv, len(r.text))
         fact, slg = comp.lzd(r.text, g.table)
         s.record(trial, "lzd-phrases-3V", 3 * nv, len(fact))
@@ -284,60 +277,48 @@ def suite_cfg(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     return s.verdicts
 
 
-def _rna_instance(s: _Suite, cap: int):
-    table = SymbolTable()
-    alphabet = gen.random_matched_alphabet(s.rng, s.rng.randint(2, 3), 4, table)
-    g = gen.random_admissible_slg_with_expansion(s.rng, cap, 2, table)
-    return table, alphabet, g
+def _folded(s: _Suite, trials: int, cap: int, booster, min_rules: int = 1):
+    """Each trial's number, grammar under `cap` (redrawn at |V| = 2 below
+    `min_rules`), `booster` result on a fresh matched alphabet, total
+    expansion, and the folding values of the plain and boosted strings."""
+    for trial in range(1, trials + 1):
+        table = SymbolTable()
+        alphabet = gen.random_matched_alphabet(s.rng, s.rng.randint(2, 3), 4, table)
+        g = gen.random_admissible_slg_with_expansion(s.rng, cap, 2, table)
+        if len(g.rules) < min_rules:
+            g = gen.random_admissible_slg(s.rng, 2, 2, cap, table)
+        r = booster(g, alphabet)
+        total = sum(g.expansion_lengths().values())
+        wu = rnamod.wrna(expand(g, g.start), alphabet).value
+        wv = rnamod.wrna(r.text, r.alphabet).value
+        yield trial, g, r, total, wu, wv
 
 
 def suite_rna_alpha(seed: int, trials: int, max_nonterms: int, cap: int = 40) -> list[Verdict]:
     s = _Suite("rna-alpha", seed)
-    for trial in range(1, trials + 1):
-        table, alphabet, g = _rna_instance(s, cap)
-        u = expand(g, g.start)
-        r = boost.rna_alpha(g, alphabet)
-        total = sum(g.expansion_lengths().values())
+    for trial, g, r, total, wu, wv in _folded(s, trials, cap, boost.rna_alpha):
         s.record(trial, "fold-alpha-length-8x", 8 * total, len(r.text))
-        wu = rnamod.wrna(u, alphabet).value
-        wv = rnamod.wrna(r.text, r.alphabet).value
         s.record(trial, "fold-alpha-value-2x-plus-offset", 2 * wu + r.offset, wv)
     return s.verdicts
 
 
 def suite_rna_beta(seed: int, trials: int, max_nonterms: int, cap: int = 40) -> list[Verdict]:
     s = _Suite("rna-beta", seed)
-    for trial in range(1, trials + 1):
-        table, alphabet, g = _rna_instance(s, cap)
-        u = expand(g, g.start)
-        r = boost.rna_beta(g, alphabet)
-        total = sum(g.expansion_lengths().values())
+    for trial, g, r, total, wu, wv in _folded(s, trials, cap, boost.rna_beta):
         s.record(trial, "fold-beta-length-16x", 16 * total, len(r.text))
-        wu = rnamod.wrna(u, alphabet).value
-        wv = rnamod.wrna(r.text, r.alphabet).value
         s.record(trial, "fold-beta-value-4x-plus-offset", 4 * wu + r.offset, wv)
-        out = comp.sequential(r.text, table)
-        s.record(
-            trial, "fold-beta-sequential-11|G|", 22 * len(g.rules), out.size
-        )
+        out = comp.sequential(r.text, g.table)
+        s.record(trial, "fold-beta-sequential-11|G|", 22 * len(g.rules), out.size)
     return s.verdicts
 
 
 def suite_gamma(seed: int, trials: int, max_nonterms: int, cap: int = 40) -> list[Verdict]:
     s = _Suite("gamma", seed)
-    for trial in range(1, trials + 1):
-        table, alphabet, g = _rna_instance(s, cap)
-        if len(g.rules) < 2:
-            g = gen.random_admissible_slg(s.rng, 2, 2, cap, table)
-        u = expand(g, g.start)
+    for trial, g, r, total, wu, wv in _folded(s, trials, cap, boost.gamma, min_rules=2):
         nv = len(g.rules)
-        r = boost.gamma(g, alphabet)
-        total = sum(g.expansion_lengths().values())
         s.record_le(trial, "fold-gamma-length-12x-plus-5", len(r.text), 12 * total + 5)
-        wu = rnamod.wrna(u, alphabet).value
-        wv = rnamod.wrna(r.text, r.alphabet).value
         s.record(trial, "fold-gamma-value-2c0-plus-base", 2 * r.offset + wu, wv)
-        fact, slg = comp.lzd(r.text, table)
+        fact, slg = comp.lzd(r.text, g.table)
         s.record(trial, "fold-gamma-lzd-18V-6", 18 * nv - 6, slg.size)
         s.record_le(trial, "fold-gamma-lzd-at-most-9|G|", slg.size, 9 * (2 * nv))
     return s.verdicts

@@ -100,6 +100,25 @@ def test_cyk_compiles_once_per_grammar(table):
     assert all(0 <= x < m for x in heads + pairs)
 
 
+def test_2nf_has_nodes_only_on_binary_sides_and_no_repeated_entries(table):
+    # N mirrors erase_closure's ND: d occurs only in the unit body N -> d,
+    # and b only in B -> b, so neither needs a node of its own.  T stands
+    # for S, so S -> A B and T -> A B both give (B, S) under A.
+    g = _cfg(table, "S -> A B | T\nT -> A B\nA -> a N\nN -> N N | _ | d\nB -> b\n")
+    a, b, d = (table.terminal(c) for c in "abd")
+    comp = _compile(g)
+    assert len(comp.binary_left) == 6  # S, T, A, N, B and a
+    assert len(comp.unary[d.id]) == 1  # N alone
+    assert len(comp.unary[b.id]) == 1  # B alone
+    assert len(comp.unary[a.id]) == 2  # a and A
+    for row in comp.binary_left:
+        assert len(set(row)) == len(row)
+    # the language is a d* b
+    for w, member in (((a, b), True), ((a, d, d, b), True), ((a, d), False),
+                      ((d,), False), ((b,), False), ((a, b, b), False)):
+        assert cyk_member(g, w) == cyk_member_table(g, w) == member
+
+
 def test_cfg_text_roundtrip(table):
     text = "S -> A B | _\nA -> a | a A\nB -> b\n"
     g = _cfg(table, text)
