@@ -6,9 +6,8 @@ Each suite generates its instances from a seeded RNG and emits one verdict
 line per check per trial.  Lines carry stable check identifiers and expected
 versus actual values; output is a pure function of the seed.
 
-The suites of one instance family share one trial loop: `_boosted` for the
-global, Sequential, Sequitur and LZD suites, `_folded` for rna-alpha, rna-beta
-and gamma.  A new law on such instances is one more verdict in that loop.
+The suites of one instance family share one trial loop (`_boosted` for the
+boosted strings, `_folded` for folding); a new law is a verdict in that loop.
 """
 from __future__ import annotations
 
@@ -113,7 +112,9 @@ def suite_sequential(seed: int, trials: int, max_nonterms: int) -> list[Verdict]
     for trial, g, nv, r in _boosted(s, trials, max_nonterms, boost.alpha):
         out = comp.sequential(r.text, g.table)
         s.record(trial, "sequential-size-7/2|G|", 7 * nv, out.size)
-        s.record_bool(trial, "sequential-irreducible", comp.is_irreducible(out))
+        s.record_bool(
+            trial, "sequential-irreducible", comp.is_irreducible(out)
+        )
     return s.verdicts
 
 
@@ -308,7 +309,9 @@ def suite_rna_beta(seed: int, trials: int, max_nonterms: int, cap: int = 40) -> 
         s.record(trial, "fold-beta-length-16x", 16 * total, len(r.text))
         s.record(trial, "fold-beta-value-4x-plus-offset", 4 * wu + r.offset, wv)
         out = comp.sequential(r.text, g.table)
-        s.record(trial, "fold-beta-sequential-11|G|", 22 * len(g.rules), out.size)
+        s.record(
+            trial, "fold-beta-sequential-11|G|", 22 * len(g.rules), out.size
+        )
     return s.verdicts
 
 
