@@ -23,16 +23,29 @@ the smaller id sequence:
 
 Sequential and Sequitur share one driver and Sequitur's three reductions
 (Nevill-Manning and Witten, JAIR 1997), applied to quiescence after each
-append to the start rule: a suffix equal to a two-symbol rule body becomes
-that rule, a suffix digram that repeats gets a new rule, and a rule used
-once is inlined.  They differ only in what they append.  Sequitur appends
-the next input symbol.  Sequential appends the longest live secondary whose
-expansion the rest of the input starts with (Kieffer and Yang, IEEE Trans.
-IT 2000), or the next symbol if there is none.  Its grammar is irreducible
-before each append, and an append adds one digram, at the suffix, so the
-suffix digram is the only one that can repeat.  The first reduction does
-not fire there: a rule whose body is the suffix would already have been
-taken by the parse.
+append to the start rule.  They differ only in what they append.  Sequitur
+appends the next input symbol.  Sequential appends the longest live
+secondary whose expansion the rest of the input starts with (Kieffer and
+Yang, IEEE Trans. IT 2000), or the next symbol if there is none.  No
+reduction rescans the grammar.  An index counts every adjacent pair of
+every body by host rule, every use of a secondary by host rule, the
+secondaries by two-symbol body and the secondaries used at most once, and
+each change updates it at the positions it touched.  Each reduction is one
+lookup, and secondary ids grow in creation order:
+
+1. A suffix digram that is the body of a secondary becomes the smallest
+   such secondary.
+2. A suffix digram that repeats gets a new rule: its count, less the suffix
+   itself and less the occurrence that overlaps the suffix when the last
+   three symbols are equal, is positive.  Only the hosts the index lists
+   are rewritten, left to right without overlap.
+3. The smallest secondary used at most once is dropped if unused, or
+   spliced into its one host.
+
+Sequential's grammar is irreducible before each append, and an append adds
+one digram, at the suffix, so the suffix digram is the only one that can
+repeat.  The first reduction does not fire there: a rule whose body is the
+suffix would already have been taken by the parse.
 """
 from __future__ import annotations
 
@@ -430,62 +443,128 @@ def longest_match(u, table: SymbolTable) -> SLG:
 
 
 class _OnlineGrammar:
-    """Mutable working state of an online compressor, on ids: the start
-    rule, the secondary rules in creation order and a trie of the
-    secondaries' expansions, fed with each new rule when `feed` is set."""
+    """Mutable working state of an online compressor, on ids, and the index
+    its reductions look up.
+
+    `rules` holds the start rule and then the secondaries in creation
+    order.  The index counts every adjacent pair of every body, overlapping
+    pairs included (`pairs`: digram -> {host: count}), every use of a
+    secondary (`uses`: secondary -> {host: uses}; its keys are the live
+    secondaries), the secondaries by two-symbol body (`by_body`) and the
+    secondaries used at most once (`rare`).  Every change to a body is a
+    `splice`, which recounts the index only where the body changed.  A trie
+    of the secondaries' expansions is fed with each new rule when `feed` is
+    set."""
 
     def __init__(self, table: SymbolTable, prefix: str, feed: bool):
         self.table = table
         self.start = table.fresh_nonterminal("S").id
         self.start_body: list[int] = []
-        self.sec: dict[int, list[int]] = {}
+        self.rules: dict[int, list[int]] = {self.start: self.start_body}
         self.prefix = prefix
+        self.pairs: dict[tuple[int, int], dict[int, int]] = {}
+        self.uses: dict[int, dict[int, int]] = {}
+        self.by_body: dict[tuple[int, int], set[int]] = {}
+        self.rare: set[int] = set()
         self.exps: dict[int, tuple[int, ...]] | None = {} if feed else None
         self.children: dict[tuple[int, int], int] = {}
         self.ref: list[int | None] = [None]
 
-    def new_rule(self, body: list[int]) -> int:
+    def _count(self, host: int, i: int, j: int, delta: int) -> None:
+        """Count `delta` (1 or -1) more in the index for body[i:j] of `host`:
+        each pair that touches it, each use of a secondary in it and, if
+        `host` is a secondary of two symbols, its body."""
+        body = self.rules[host]
+        pairs = self.pairs
+        for k in range(max(i - 1, 0), min(j, len(body) - 1)):
+            d = (body[k], body[k + 1])
+            hosts = pairs.get(d)
+            if hosts is None:
+                pairs[d] = {host: delta}
+                continue
+            c = hosts.get(host, 0) + delta
+            if c:
+                hosts[host] = c
+            else:
+                del hosts[host]
+                if not hosts:
+                    del pairs[d]
+        uses, rare = self.uses, self.rare
+        for k in range(i, j):
+            hosts = uses.get(body[k])
+            if hosts is None:
+                continue  # a symbol of the input
+            c = hosts.get(host, 0) + delta
+            if c:
+                hosts[host] = c
+            else:
+                del hosts[host]
+            if len(hosts) > 1 or sum(hosts.values()) > 1:
+                rare.discard(body[k])
+            else:
+                rare.add(body[k])
+        if len(body) == 2 and host != self.start:
+            d = (body[0], body[1])
+            if delta > 0:
+                self.by_body.setdefault(d, set()).add(host)
+            else:
+                heads = self.by_body[d]
+                heads.discard(host)
+                if not heads:
+                    del self.by_body[d]
+
+    def splice(self, host: int, i: int, j: int, seq) -> None:
+        """Replace body[i:j] of `host` by `seq`."""
+        self._count(host, i, j, -1)
+        self.rules[host][i:j] = seq
+        self._count(host, i, i + len(seq), 1)
+
+    def new_rule(self, body: tuple[int, int]) -> int:
         head = self.table.fresh_nonterminal(self.prefix).id
-        self.sec[head] = body
+        self.rules[head] = []
+        self.uses[head] = {}
+        self.rare.add(head)
+        self.splice(head, 0, 0, body)
         if self.exps is not None:
-            # Now, while `body` is the digram: a later rule can rewrite it.
+            # Now, while the body is the digram: a later rule can rewrite it.
             exps = self.exps
             exp = exps[head] = tuple(x for s in body for x in exps.get(s, (s,)))
             _trie_insert(self.children, self.ref, exp, head)
         return head
 
-    def all_bodies(self):
-        yield self.start_body
-        yield from self.sec.values()
-
     def replace_digram(self, d: tuple[int, int], new: int) -> None:
-        self.start_body[:] = _replace_all(self.start_body, d, new)
-        for head, body in self.sec.items():
-            if head != new:
-                self.sec[head] = _replace_all(body, d, new)
+        """Replace the greedy left-to-right non-overlapping occurrences of
+        `d` by `new` in every body that holds `d`, except `new`'s own."""
+        a, b = d
+        for host in list(self.pairs[d]):
+            if host == new:
+                continue
+            body = self.rules[host]
+            i = 0
+            while True:
+                try:
+                    i = body.index(a, i)
+                except ValueError:
+                    break
+                if i + 1 < len(body) and body[i + 1] == b:
+                    self.splice(host, i, i + 2, (new,))
+                i += 1
 
-    def inline_single_uses(self) -> bool:
-        """Inline one single-use secondary (drop zero-use ones); True if any."""
-        counts = dict.fromkeys(self.sec, 0)
-        for body in self.all_bodies():
-            for s in body:
-                if s in counts:
-                    counts[s] += 1
-        for head in list(self.sec):
-            if counts[head] == 0:
-                del self.sec[head]
-                return True
-            if counts[head] == 1:
-                definition = self.sec.pop(head)
-                for body in self.all_bodies():
-                    for i, s in enumerate(body):
-                        if s == head:
-                            body[i : i + 1] = definition
-                            return True
-        return False
+    def inline(self, head: int) -> None:
+        """Drop the secondary `head`, used at most once, splicing its body
+        into its one use if it has one."""
+        definition = self.rules[head]
+        hosts = self.uses.pop(head)
+        self.rare.discard(head)
+        if hosts:
+            (host,) = hosts
+            i = self.rules[host].index(head)
+            self.splice(host, i, i + 1, definition)
+        self.splice(head, 0, len(definition), ())
+        del self.rules[head]
 
     def to_slg(self) -> SLG:
-        return _slg({self.start: self.start_body, **self.sec}, self.start, self.table)
+        return _slg(self.rules, self.start, self.table)
 
 
 def _online(u, table: SymbolTable, prefix: str, feed: bool) -> SLG:
@@ -498,10 +577,11 @@ def _online(u, table: SymbolTable, prefix: str, feed: bool) -> SLG:
     while pos < n:
         # An irreducible grammar has no two secondaries of one expansion, so
         # the longest live match is the only match of its length.
-        best, length = _trie_longest(st.children, st.ref, u, pos, st.sec)
+        best, length = _trie_longest(st.children, st.ref, u, pos, st.uses)
         if best is None:
             best, length = u[pos], 1
-        st.start_body.append(best)
+        end = len(st.start_body)
+        st.splice(st.start, end, end, (best,))
         pos += length
         while _reduce(st):
             pass
@@ -512,30 +592,23 @@ def _reduce(st: _OnlineGrammar) -> bool:
     """Apply the first reduction that applies; True if one did."""
     body = st.start_body
     if len(body) >= 2:
-        suffix = (body[-2], body[-1])
-        # 1. The suffix equals the definition of an existing rule.
-        for head, definition in st.sec.items():
-            if len(definition) == 2 and definition[0] == suffix[0] and definition[1] == suffix[1]:
-                body[-2:] = [head]
-                return True
-        # 2. The suffix digram repeats non-overlappingly somewhere.
-        if _suffix_repeats(st, suffix):
-            head = st.new_rule(list(suffix))
-            st.replace_digram(suffix, head)
+        d = (body[-2], body[-1])
+        # 1. The suffix equals the body of a secondary: the first created.
+        heads = st.by_body.get(d)
+        if heads:
+            st.splice(st.start, len(body) - 2, len(body), (min(heads),))
             return True
-    # 3. Single-use rule inlining.
-    return st.inline_single_uses()
-
-
-def _suffix_repeats(st: _OnlineGrammar, suffix) -> bool:
-    body = st.start_body
-    suffix_at = len(body) - 2
-    for ridx, b in enumerate(st.all_bodies()):
-        for i in range(len(b) - 1):
-            if ridx == 0 and i >= suffix_at - 1:
-                break  # would overlap (or be) the suffix occurrence
-            if b[i] == suffix[0] and b[i + 1] == suffix[1]:
-                return True
+        # 2. The suffix repeats: another occurrence that does not overlap it.
+        others = sum(st.pairs[d].values()) - 1
+        if len(body) >= 3 and body[-3] == d[0] == d[1]:
+            others -= 1
+        if others > 0:
+            st.replace_digram(d, st.new_rule(d))
+            return True
+    # 3. The first secondary used at most once is dropped or inlined.
+    if st.rare:
+        st.inline(min(st.rare))
+        return True
     return False
 
 

@@ -29,6 +29,19 @@ class RnaError(ValueError):
     pass
 
 
+def _check_pairs(symbols, match, weight) -> None:
+    """Refuse unless `match` pairs each of `symbols` with another symbol,
+    both ways, and both have one nonnegative weight."""
+    for a in symbols:
+        b = match.get(a)
+        if b is None or b == a or match.get(b) != a:
+            raise RnaError(f"match is not a fixed-point-free involution at {a.display}")
+        if weight.get(a) is None or weight[a] < 0:
+            raise RnaError(f"negative or missing weight for {a.display}")
+        if weight[a] != weight[b]:
+            raise RnaError(f"weights differ across match pair {a.display}")
+
+
 @dataclass(frozen=True)
 class MatchedAlphabet:
     """Alphabet with an involutive, fixed-point-free match and weights.
@@ -43,26 +56,33 @@ class MatchedAlphabet:
     weight: dict[Symbol, int]
 
     def __post_init__(self):
-        for a in self.symbols:
-            b = self.match.get(a)
-            if b is None or b == a or self.match.get(b) != a:
-                raise RnaError(f"match is not a fixed-point-free involution at {a.display}")
-            if self.weight.get(a) is None or self.weight[a] < 0:
-                raise RnaError(f"negative or missing weight for {a.display}")
-            if self.weight[a] != self.weight[b]:
-                raise RnaError(f"weights differ across match pair {a.display}")
+        _check_pairs(self.symbols, self.match, self.weight)
 
     def covers(self, symbols) -> bool:
         have = set(self.symbols)
         return all(s in have for s in symbols)
 
     def extended(self, new_symbols, new_match, new_weight) -> "MatchedAlphabet":
-        symbols = tuple(self.symbols) + tuple(new_symbols)
-        match = dict(self.match)
-        match.update(new_match)
-        weight = dict(self.weight)
-        weight.update(new_weight)
-        return MatchedAlphabet(symbols, match, weight)
+        """This alphabet plus the pairs of `new_symbols`.  Only the added
+        pairs are checked: each added symbol is new to the alphabet, and the
+        added match and weights bind added symbols only."""
+        new_symbols = tuple(new_symbols)
+        added = set(new_symbols)
+        have = set(self.symbols)
+        for s in new_symbols:
+            if s in have:
+                raise RnaError(f"{s.display} is already in the alphabet")
+            have.add(s)
+        for s in (*new_match, *new_weight):
+            if s not in added:
+                raise RnaError(f"the added pairs bind {s.display}, which is not added")
+        _check_pairs(new_symbols, new_match, new_weight)
+        # Both parts are checked, so the whole is built without a re-check.
+        out = object.__new__(MatchedAlphabet)
+        object.__setattr__(out, "symbols", tuple(self.symbols) + new_symbols)
+        object.__setattr__(out, "match", {**self.match, **new_match})
+        object.__setattr__(out, "weight", {**self.weight, **new_weight})
+        return out
 
     # text format: one line per pair, `a ~ b : w`
     def serialize(self) -> str:

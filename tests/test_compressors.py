@@ -7,9 +7,11 @@ import pytest
 from slglab import (
     SLG,
     CompressorError,
+    PointSet,
     GlobalStrategy,
     GrammarError,
     alpha,
+    answer_grammar,
     beta,
     bisection,
     count_nonoverlapping,
@@ -221,6 +223,41 @@ def test_sequitur_matches_reference(kind, cases):
         assert interned(t1) == interned(t2), seed
 
 
+@pytest.mark.parametrize("unit", ["a", "ab", "aab", "abcab"])
+def test_online_match_reference_on_powers(unit):
+    """Powers of short words: overlapping occurrences of the suffix and
+    bodies that shrink to two symbols."""
+    for online, reference in ((sequential, sequential_reference),
+                              (sequitur, sequitur_reference)):
+        for n in range(1, 81):
+            t1, t2 = SymbolTable(), SymbolTable()
+            got = serialize(online(unit * n, t1))
+            want = serialize(reference(unit * n, t2))
+            assert got == want, (online.__name__, n)
+            assert interned(t1) == interned(t2), (online.__name__, n)
+
+
+def _boosted_answer_string(m):
+    """The answer grammar of a seeded permutation point set on the m x m
+    grid, and its alpha string."""
+    rng = random.Random(m)
+    column = list(range(1, m + 1))
+    rng.shuffle(column)
+    g = answer_grammar(PointSet(m, frozenset(zip(range(1, m + 1), column))))
+    return g, alpha(g).text
+
+
+def test_online_match_reference_on_boosted_answer_string():
+    for online, reference in ((sequential, sequential_reference),
+                              (sequitur, sequitur_reference)):
+        g1, v1 = _boosted_answer_string(16)
+        g2, v2 = _boosted_answer_string(16)
+        got = online(v1, g1.table)
+        assert got.size == 7 * len(g1.rules) == 490
+        assert serialize(got) == serialize(reference(v2, g2.table)), online.__name__
+        assert interned(g1.table) == interned(g2.table), online.__name__
+
+
 def test_sequitur_examples(table):
     g = sequitur("ab", table)
     assert g.size == 2
@@ -332,7 +369,7 @@ def test_round_trip_all_compressors():
     """Round-trip over 500 random strings, alphabet sizes 1..16.
 
     The linear parsers take the full lengths; the online and global ones get
-    capped lengths to keep the quadratic scans inside the time budget.
+    capped lengths to keep their scans inside the time budget.
     """
     rng = random.Random(47)
     strategies = list(GlobalStrategy)
@@ -344,7 +381,7 @@ def test_round_trip_all_compressors():
         for algo in (bisection, lambda v, tt: lz78(v, tt)[1], lambda v, tt: lzd(v, tt)[1]):
             g = algo(u, t)
             assert expand(g, g.start) == u
-        if n <= 600:
+        if n <= 1200:
             for online in (sequitur, sequential):
                 g = online(u, t)
                 assert expand(g, g.start) == u

@@ -72,6 +72,44 @@ def test_alphabet_validation(table):
         MatchedAlphabet((a, b), {a: b, b: a}, {a: 1, b: 2})
 
 
+def test_extended_adds_checked_pairs(table):
+    al = _pairs(table, [("a", "A", 2)])
+    x, y = table.terminal("x"), table.terminal("y")
+    out = al.extended([x, y], {x: y, y: x}, {x: 3, y: 3})
+    assert out.symbols == al.symbols + (x, y)
+    assert out.match[x] is y and out.match[al.symbols[0]] is al.symbols[1]
+    assert out.weight[y] == 3
+    assert len(al.symbols) == 2 and x not in al.match  # the original is untouched
+    with pytest.raises(RnaError, match="differ across match"):
+        al.extended([x, y], {x: y, y: x}, {x: 3, y: 4})
+    with pytest.raises(RnaError, match="involution"):
+        al.extended([x], {x: x}, {x: 1})
+
+
+def test_extended_refuses_a_symbol_already_in_the_alphabet(table):
+    al = _pairs(table, [("a", "A", 2)])
+    a, big_a = al.symbols
+    with pytest.raises(RnaError, match="a is already in the alphabet"):
+        al.extended([a, big_a], {a: big_a, big_a: a}, {a: 2, big_a: 2})
+    x = table.terminal("x")
+    with pytest.raises(RnaError, match="x is already in the alphabet"):
+        al.extended([x, x], {x: x}, {x: 1})
+
+
+def test_extended_refuses_rebinding_an_existing_symbol(table):
+    al = _pairs(table, [("a", "A", 2)])
+    a = al.symbols[0]
+    x, y = table.terminal("x"), table.terminal("y")
+    # x pairs with y, but the added match also sends a to x.
+    with pytest.raises(RnaError, match="bind a, which is not added"):
+        al.extended([x, y], {x: y, y: x, a: x}, {x: 2, y: 2})
+    # x pairs with a, which stays paired with A.
+    with pytest.raises(RnaError, match="bind a, which is not added"):
+        al.extended([x], {x: a, a: x}, {x: 2})
+    with pytest.raises(RnaError, match="involution at x"):
+        al.extended([x], {x: a}, {x: 2})
+
+
 def test_alphabet_text_roundtrip(table):
     al = _pairs(table, [("a", "A", 2), ("b", "B", 5)])
     text = al.serialize()
