@@ -3,15 +3,19 @@ string boosters that force every studied compressor down to grammar size,
 their folding-weighted variants, and the run-length predecessor string.
 
 A booster takes an admissible grammar, orders its nonterminals by expansion
-length (ties broken canonically), interleaves per-nonterminal sentinels, and
-concatenates doubled expansions so that the original text stays readable at
-a fixed stride while every compressor provably collapses the repetitions.
+length (ties broken canonically), and computes every nonterminal's expansion
+with per-nonterminal dollar sentinels inside, in one bottom-up pass.  It then
+concatenates doubled copies of those expansions, and for the folding boosters
+of their matched reverses, so that the original text stays readable at a
+fixed stride while every compressor provably collapses the repetitions.  The
+same pass, with chosen nonterminals cut to markers, gives the bounded
+expansions and intermediate grammars the global algorithms visit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SLG, expand_all, is_admissible, reachable_nonterminals
+from .core import SLG, is_admissible, reachable_nonterminals
 from .rna import MatchedAlphabet
 from .symbols import SentinelFamily, Symbol, SymbolTable
 
@@ -31,16 +35,15 @@ class BoostError(ValueError):
 
 @dataclass(frozen=True)
 class BoostResult:
-    """Boosted string plus the scaffolding every booster leaves to audit it.
+    """Boosted string plus the canonical order that indexes its sentinels.
 
-    `ordering` is the canonical order of the input's nonterminals (index i
-    names `ordering[i - 1]`) and `aux_grammar` the grammar whose expansions
-    `text` is laid out from.
+    `ordering` is the canonical order of the input's nonterminals: index i
+    names `ordering[i - 1]`, whose dollars and hashes carry index i (2i - 1
+    and 2i where a booster pairs them).
     """
 
     text: tuple[Symbol, ...]
     ordering: tuple[Symbol, ...]
-    aux_grammar: SLG
 
 
 @dataclass(frozen=True)
@@ -111,17 +114,53 @@ def _require_fresh_sentinels(symbols, families, source="grammar alphabet") -> No
                 raise BoostError(f"{source} collides with sentinel family {fam.prefix!r}")
 
 
+def _checked_order(g: SLG, families, a: MatchedAlphabet | None = None):
+    """Refuse a grammar that is not admissible or whose terminals use a
+    sentinel prefix of `families`, and a matched alphabet `a` that does not
+    fit it; return the canonical order."""
+    _require_admissible(g)
+    if a is not None:
+        if not a.covers(g.terminals()):
+            raise BoostError("matched alphabet does not cover the grammar terminals")
+        if any(a.weight[s] < 1 for s in a.symbols):
+            raise BoostError("weights must be positive")
+    _require_fresh_sentinels(g.terminals(), families)
+    if a is not None:
+        # The booster extends the alphabet with these families; a user pair
+        # of theirs would be silently re-matched or re-weighted.
+        _require_fresh_sentinels(a.symbols, families, "matched alphabet")
+    return canonical_order(g)
+
+
 # ---------------------------------------------------------------------------
-# The shared layout: sentinel grammars, doubled blocks and their mirror
+# The shared layout: dollar-interleaved expansions, doubled blocks, mirrors
 
 
-def _sentinel_grammar(g: SLG, order, table: SymbolTable) -> SLG:
-    """The auxiliary grammar with one unique dollar inside each definition."""
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
+def _interleaved(g: SLG, order, paired=False, marked=()):
+    """Every nonterminal's expansion with dollars inside, built bottom-up
+    in one pass over `order`: for the i-th rule X -> a b, exp(a) $_i exp(b),
+    or exp(a) $_2i-1 exp(b) $_2i when `paired`.  The nonterminals whose
+    indices are in `marked` expand to their marker M_i alone."""
+    table = g.table
+    exps: dict[Symbol, tuple[Symbol, ...]] = {}
+    # The order is by nondecreasing expansion length, so both children of a
+    # rule precede it.
     for i, n in enumerate(order, start=1):
+        if i in marked:
+            exps[n] = (_marker(table, i),)
+            continue
         a, b = g.rules[n]
-        rules[n] = (a, table.sentinel(D, i), b)
-    return SLG(rules, g.start, table)
+        if paired:
+            exps[n] = (exps.get(a, (a,)) + (table.sentinel(D, 2 * i - 1),)
+                       + exps.get(b, (b,)) + (table.sentinel(D, 2 * i),))
+        else:
+            exps[n] = exps.get(a, (a,)) + (table.sentinel(D, i),) + exps.get(b, (b,))
+    return exps
+
+
+def _mirror(e, match) -> tuple[Symbol, ...]:
+    """`e` reversed, every symbol replaced by its match."""
+    return tuple(map(match.__getitem__, reversed(e)))
 
 
 def _doubled(exps, order, table: SymbolTable, fam, indices, mirrored=False):
@@ -144,60 +183,34 @@ def _doubled(exps, order, table: SymbolTable, fam, indices, mirrored=False):
     return w
 
 
-def _mirrored(gp: SLG, match) -> SLG:
-    """`gp` with every body reversed and every terminal replaced by its
-    match, so each nonterminal expands to the matched reverse of its
-    expansion in `gp`."""
-    rules = {
-        head: tuple(match.get(s, s) for s in reversed(body))
-        for head, body in gp.rules.items()
-    }
-    return SLG(rules, gp.start, gp.table)
-
-
 # ---------------------------------------------------------------------------
 # Alpha: doubled sentinel-interleaved expansions
 
 
 def alpha(g: SLG) -> AlphaBoost:
-    _require_admissible(g)
-    _require_fresh_sentinels(g.terminals(), [D, H])
+    order = _checked_order(g, [D, H])
     table = g.table
-    order = canonical_order(g)
     nv = len(order)
-    gp = _sentinel_grammar(g, order, table)
-    w = _doubled(expand_all(gp), order, table, H, range(1, nv + 1))
+    w = _doubled(_interleaved(g, order), order, table, H, range(1, nv + 1))
     u_len = g.expansion_lengths()[g.start]
     delta = len(w) - 4 * u_len
     sigma = tuple(sorted(g.terminals(), key=lambda s: s.id)) + tuple(
         table.sentinel(D, i) for i in range(1, nv + 1)
     ) + tuple(table.sentinel(H, i) for i in range(1, 2 * nv + 1))
-    return AlphaBoost(text=tuple(w), ordering=order, aux_grammar=gp,
-                      offset=delta, alphabet=sigma)
+    return AlphaBoost(text=tuple(w), ordering=order, offset=delta, alphabet=sigma)
 
 
 def _bexp_all(g: SLG, index_set):
     """Validate an index set; return it with the canonical order and the
-    bounded expansion of every nonterminal, built bottom-up in one pass."""
-    _require_admissible(g)
-    order = canonical_order(g)
+    bounded expansion of every nonterminal."""
+    order = _checked_order(g, [D, H])
     nv = len(order)
     index_set = frozenset(index_set)
     for i in index_set:
         if not 1 <= i <= nv:
             raise BoostError(f"index {i} out of range")
-    table = g.table
     _require_marker_names_free(g, nv)
-    # The order is by nondecreasing expansion length, so both children of a
-    # rule precede it.
-    exps: dict[Symbol, tuple[Symbol, ...]] = {}
-    for i, n in enumerate(order, start=1):
-        if i in index_set:
-            exps[n] = (_marker(table, i),)
-        else:
-            a, b = g.rules[n]
-            exps[n] = exps.get(a, (a,)) + (table.sentinel(D, i),) + exps.get(b, (b,))
-    return order, index_set, exps
+    return order, index_set, _interleaved(g, order, marked=index_set)
 
 
 def bexp(g: SLG, index_set, x: Symbol) -> tuple[Symbol, ...]:
@@ -236,55 +249,26 @@ def build_gi(g: SLG, index_set) -> GIGrammar:
 
 
 # ---------------------------------------------------------------------------
-# Beta: per-nonterminal triple rules with doubled expansions
-
-
-def _beta_grammar(g: SLG, order, table: SymbolTable):
-    """Triple-rule auxiliary grammar; returns (grammar, part nonterminals)."""
-    nv = len(order)
-    idx_of = {n: i for i, n in enumerate(order, start=1)}
-    n0 = [table.fresh_nonterminal("P") for _ in range(nv)]
-    n1 = [table.fresh_nonterminal("P") for _ in range(nv)]
-    n2 = [table.fresh_nonterminal("P") for _ in range(nv)]
-
-    def ref(sym: Symbol) -> Symbol:
-        return n0[idx_of[sym] - 1] if sym.is_nonterminal() else sym
-
-    rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    for i, n in enumerate(order, start=1):
-        a, b = g.rules[n]
-        rules[n1[i - 1]] = (ref(a), table.sentinel(D, 2 * i - 1))
-        rules[n2[i - 1]] = (ref(b), table.sentinel(D, 2 * i))
-        rules[n0[i - 1]] = (n1[i - 1], n2[i - 1])
-    sp = table.fresh_nonterminal("P")
-    body: list[Symbol] = []
-    for i in range(nv):
-        body += [n1[i], n2[i], n0[i]]
-    rules[sp] = tuple(body)
-    return SLG(rules, sp, table), n0
+# Beta: doubled expansions with paired dollars
 
 
 def beta(g: SLG) -> BetaBoost:
-    _require_admissible(g)
+    order = _checked_order(g, [D])
     table = g.table
-    order = canonical_order(g)
-    _require_fresh_sentinels(g.terminals(), [D])
-    gp, n0 = _beta_grammar(g, order, table)
-    _full = expand_all(gp)
-    exp0 = {i: _full[n0[i - 1]] for i in range(1, len(order) + 1)}
+    exps = _interleaved(g, order, paired=True)
     terms = g.terminals()
     w: list[Symbol] = []
     position_map: dict[int, tuple[int, ...]] = {}
-    for i in range(1, len(order) + 1):
+    for i, n in enumerate(order, start=1):
+        e = exps[n]
         # exp(N_i)[j] sits at the j-th of the input's own terminals in the
         # first copy of its block: the sentinels around them are fresh.
-        position_map[i] = tuple(
-            len(w) + p for p, s in enumerate(exp0[i], start=1) if s in terms)
-        w += exp0[i]
-        w += exp0[i]
+        position_map[i] = tuple(len(w) + p for p, s in enumerate(e, start=1) if s in terms)
+        w += e
+        w += e
     sigma = tuple(sorted(terms, key=lambda s: s.id)) + tuple(
         table.sentinel(D, i) for i in range(1, 2 * len(order) + 1))
-    return BetaBoost(text=tuple(w), ordering=order, aux_grammar=gp,
+    return BetaBoost(text=tuple(w), ordering=order,
                      position_map=position_map, alphabet=sigma)
 
 
@@ -294,16 +278,7 @@ def beta(g: SLG) -> BetaBoost:
 
 def _folding_order(g: SLG, a: MatchedAlphabet, families) -> tuple[Symbol, ...]:
     """The checks the folding boosters share; returns the canonical order."""
-    _require_admissible(g)
-    if not a.covers(g.terminals()):
-        raise BoostError("matched alphabet does not cover the grammar terminals")
-    if any(a.weight[s] < 1 for s in a.symbols):
-        raise BoostError("weights must be positive")
-    _require_fresh_sentinels(g.terminals(), families)
-    # The booster extends the alphabet with these families; a user pair of
-    # theirs would be silently re-matched or re-weighted.
-    _require_fresh_sentinels(a.symbols, families, "matched alphabet")
-    order = canonical_order(g)
+    order = _checked_order(g, families, a)
     if order[-1] != g.start:
         raise BoostError("start must be the unique longest nonterminal")
     return order
@@ -358,13 +333,11 @@ def rna_alpha(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     rows = [(table.sentinel(H, i), table.sentinel(HP, i)) for i in range(1, 2 * nv + 1)]
     extended = _extend(a, table, nv, rows, _hash_pairs(rows, 2 * qs + 1))
 
-    gaux = _sentinel_grammar(g, order, table)
-    expa = expand_all(gaux)
-    expp = expand_all(_mirrored(gaux, extended.match))
+    expa = _interleaved(g, order)
+    expp = {n: _mirror(e, extended.match) for n, e in expa.items()}
     v = _doubled(expp, order, table, HP, range(nv, 0, -1), mirrored=True)
     v += _doubled(expa, order, table, H, range(1, nv + 1))
-    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gaux,
-                        offset=delta, alphabet=extended)
+    return FoldingBoost(text=tuple(v), ordering=order, offset=delta, alphabet=extended)
 
 
 def rna_beta(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
@@ -382,16 +355,14 @@ def rna_beta(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     ]
     extended = _extend(a, table, nv, rows, _hash_pairs(rows, 4 * qs + 1))
 
-    gaux = _sentinel_grammar(g, order, table)
-    expa = expand_all(gaux)
-    expp = expand_all(_mirrored(gaux, extended.match))
+    expa = _interleaved(g, order)
+    expp = {n: _mirror(e, extended.match) for n, e in expa.items()}
     forward, backward = range(1, nv + 1), range(nv, 0, -1)
     v = _doubled(expa, order, table, HL, forward)
     v += _doubled(expa, order, table, HR, backward)
     v += _doubled(expp, order, table, HPL, forward, mirrored=True)
     v += _doubled(expp, order, table, HPR, backward, mirrored=True)
-    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gaux,
-                        offset=delta, alphabet=extended)
+    return FoldingBoost(text=tuple(v), ordering=order, offset=delta, alphabet=extended)
 
 
 def gamma(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
@@ -412,19 +383,17 @@ def gamma(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     h1, h2, h3, h4 = (table.sentinel(H, i) for i in range(1, 5))
     extended = _extend(a, table, 2 * nv, [(h1, h2, h3, h4)], [(h1, h4, 1), (h2, h3, c0)])
 
-    gp, n0 = _beta_grammar(g, order, table)
-    x_exp = expand_all(gp)
-    y_exp = expand_all(_mirrored(gp, extended.match))
+    exps = _interleaved(g, order, paired=True)
     v: list[Symbol] = [h1, h2]
-    for n in n0[:-1]:
-        v += x_exp[n]
-        v += x_exp[n]
-        v += y_exp[n]
-        v += y_exp[n]
+    for n in order[:-1]:
+        x, y = exps[n], _mirror(exps[n], extended.match)
+        v += x
+        v += x
+        v += y
+        v += y
     v += [h3, h4]
-    v += x_exp[n0[-1]]
-    return FoldingBoost(text=tuple(v), ordering=order, aux_grammar=gp,
-                        offset=c0, alphabet=extended)
+    v += exps[order[-1]]
+    return FoldingBoost(text=tuple(v), ordering=order, offset=c0, alphabet=extended)
 
 
 def alpha_sentinel_counts(g: SLG) -> tuple[int, int]:

@@ -3,6 +3,7 @@ grammar family, answer strings, and the run-length predecessor string."""
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -47,6 +48,8 @@ from slglab.generate import (
 )
 from slglab.rna import wrna
 from slglab.symbols import SentinelFamily, SymbolTable, parse_sentinel_display
+
+from conftest import interned
 
 
 def _unit_alphabet(table):
@@ -96,16 +99,26 @@ def test_alpha_length_identity_random():
         assert all(
             u[j - 1] == r.text[r.offset + 2 * j - 2] for j in range(1, len(u) + 1)
         )
-        # the text is the definitional concatenation over the aux grammar
-        from slglab.core import expand_all
-        from slglab.symbols import SentinelFamily
+        # the text is the definitional concatenation of doubled expansions
+        # with the i-th rule's dollar between its two children, rebuilt here
+        # from the rules and the ordering alone
+        index = {n: i for i, n in enumerate(r.ordering, start=1)}
+        exp = {}
 
-        exp = expand_all(r.aux_grammar)
+        def interleaved(x):
+            if x.is_terminal():
+                return (x,)
+            if x not in exp:
+                left, right = g.rules[x]
+                dollar = t.sentinel(SentinelFamily.DOLLAR, index[x])
+                exp[x] = interleaved(left) + (dollar,) + interleaved(right)
+            return exp[x]
+
         rebuilt = []
         for i, n in enumerate(r.ordering, start=1):
-            rebuilt += exp[n]
+            rebuilt += interleaved(n)
             rebuilt.append(t.sentinel(SentinelFamily.HASH, 2 * i - 1))
-            rebuilt += exp[n]
+            rebuilt += interleaved(n)
             rebuilt.append(t.sentinel(SentinelFamily.HASH, 2 * i))
         assert tuple(rebuilt) == r.text
 
@@ -161,6 +174,55 @@ def test_bexp_and_build_gi_on_a_chain_deeper_than_the_recursion_limit(table):
     # 2(k - cut) + 1 from the cut up
     blocks = [2 * k + 1 if k < cut else 2 * (k - cut) + 1 for k in range(1, height + 1)]
     assert len(body) == sum(2 * x + 2 for x in blocks)
+    # alpha and beta (its paired dollars) on the chain's lowest rules, a
+    # chain just deeper than the limit: the full one would take seconds
+    low = sys.getrecursionlimit() + 2
+    chain = SLG({n: rules[n] for n in ns[:low]}, ns[low - 1], table)
+    u = (a, b) + (a,) * (low - 1)
+    total = sum(k + 1 for k in range(1, low + 1))
+    r = alpha(chain)
+    assert len(r.text) == 4 * total
+    assert all(r.text[r.offset + 2 * j] == x for j, x in enumerate(u))
+    r = beta(chain)
+    assert len(r.text) == 6 * total - 4 * low
+    last = r.position_map[low]
+    assert tuple(r.text[p - 1] for p in last) == u
+    assert r.text[last[-1]] == table.sentinel(SentinelFamily.DOLLAR, 2 * low)
+
+
+@pytest.mark.parametrize("sentinel", ["$_1", "#_1"])
+def test_bexp_and_build_gi_refuse_what_alpha_refuses(table, sentinel):
+    # S -> $_1 b once came out of build_gi as $_1 $_1 b #_1 $_1 $_1 b #_2
+    x, b = table.terminal(sentinel), table.terminal("b")
+    s = table.nonterminal("S")
+    g = SLG({s: (x, b)}, s, table)
+    message = re.escape(f"collides with sentinel family '{sentinel[:2]}'")
+    for boost in (alpha, lambda g: build_gi(g, frozenset()),
+                  lambda g: bexp(g, frozenset({1}), s)):
+        with pytest.raises(BoostError, match=message):
+            boost(g)
+
+
+def test_boosters_add_no_nonterminal_to_the_callers_table():
+    rng = random.Random(79)
+    t = SymbolTable()
+    alphabet = random_matched_alphabet(rng, 2, 4, t)
+    g = random_admissible_slg(rng, 10, 2, 200, t)
+    assert len(g.rules) == 10
+
+    def nonterminals():
+        return [x for x in interned(t) if x[1] == "nonterminal"]
+
+    before = nonterminals()
+    for build in (alpha, beta):
+        build(g)
+    for build in (rna_alpha, rna_beta, gamma):
+        build(g, alphabet)
+    bexp(g, frozenset(), g.start)
+    assert nonterminals() == before
+    # build_gi interns exactly the markers M_i of its index set
+    build_gi(g, frozenset({2, 7}))
+    assert [x[2] for x in nonterminals()[len(before):]] == ["M2", "M7"]
 
 
 def test_bexp_index_out_of_range(table, g0):
