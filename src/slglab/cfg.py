@@ -52,9 +52,6 @@ class CFG:
     def size(self) -> int:
         return sum(len(body) for _, body in self.rules)
 
-    def nonterminals(self) -> frozenset[Symbol]:
-        return frozenset(h for h, _ in self.rules)
-
     def terminals(self) -> frozenset[Symbol]:
         out = set()
         for _, body in self.rules:

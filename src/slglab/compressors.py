@@ -28,13 +28,13 @@ appends the next input symbol.  Sequential appends the longest live
 secondary whose expansion the rest of the input starts with (Kieffer and
 Yang, IEEE Trans. IT 2000), or the next symbol if there is none.  No
 reduction rescans the grammar.  An index counts every adjacent pair of
-every body by host rule, every use of a secondary by host rule, the
-secondaries by two-symbol body and the secondaries used at most once, and
-each change updates it at the positions it touched.  Each reduction is one
-lookup, and secondary ids grow in creation order:
+every body by host rule, every use of a secondary by host rule and the
+secondaries used at most once, and each change updates it at the positions
+it touched.  Each reduction is one lookup, and secondary ids grow in
+creation order:
 
 1. A suffix digram that is the body of a secondary becomes the smallest
-   such secondary.
+   such secondary: a host of the digram whose body has two symbols.
 2. A suffix digram that repeats gets a new rule: its count, less the suffix
    itself and less the occurrence that overlaps the suffix when the last
    three symbols are equal, is positive.  Only the hosts the index lists
@@ -53,6 +53,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, pairwise
 
 from .core import SLG, GrammarError, expand_all
 from .symbols import Symbol, SymbolTable
@@ -143,23 +144,31 @@ def _greedy_disjoint(positions: list[int], length: int) -> int:
     return count
 
 
+def _nonoverlapping(body, s):
+    """The starts of the greedy left-to-right non-overlapping occurrences of
+    the nonempty `s` in `body`, a sequence of the same type."""
+    first, m = s[0], len(s)
+    end = len(body) - m + 1  # past the last start that fits
+    i = 0
+    while i < end:
+        try:
+            i = body.index(first, i, end)
+        except ValueError:
+            return
+        if body[i : i + m] == s:
+            yield i
+            i += m
+        else:
+            i += 1
+
+
 def count_nonoverlapping(s, g: SLG) -> int:
     """Greedy left-to-right non-overlapping occurrences of `s` on the
     right-hand sides of `g`."""
     s = _as_symbols(s, g.table)
     if len(s) < 1:
         raise CompressorError("pattern must be nonempty")
-    total = 0
-    for body in g.rules.values():
-        i = 0
-        n, m = len(body), len(s)
-        while i + m <= n:
-            if body[i : i + m] == s:
-                total += 1
-                i += m
-            else:
-                i += 1
-    return total
+    return sum(1 for body in g.rules.values() for _ in _nonoverlapping(body, s))
 
 
 def _rule_id_seqs(g: SLG) -> list[list[int]]:
@@ -209,6 +218,16 @@ def _extend(concat: list[int], groups, length: int, least: int):
     return out
 
 
+def _levels(concat: list[int], groups, least: int):
+    """(length, groups) for the given groups of pairs and for each longer
+    level `_extend` grows from them with `least`, while groups remain."""
+    length = 2
+    while groups:
+        yield length, groups
+        groups = _extend(concat, groups, length, least)
+        length += 1
+
+
 def _smallest(concat: list[int], groups, length: int) -> tuple[int, ...]:
     """The smallest by ids among the strings of the groups."""
     return min(tuple(concat[ps[0] : ps[0] + length]) for ps, _ in groups)
@@ -224,16 +243,13 @@ def maximal_strings(g: SLG) -> set[tuple[Symbol, ...]]:
     concat = _concat(_rule_id_seqs(g))
     by_id = g.table.by_id
     out = set()
-    groups, length = _pair_groups(concat), 2
-    while groups:
-        longer = _extend(concat, groups, length, 2)
+    levels = chain(_levels(concat, _pair_groups(concat), 2), [(0, [])])
+    for (length, groups), (_, longer) in pairwise(levels):
         bound = max((f for _, f in longer), default=0)  # M(length + 1)
         for positions, f in groups:
             if f > bound:
                 p = positions[0]
                 out.add(tuple(map(by_id, concat[p : p + length])))
-        groups = longer
-        length += 1
     return out
 
 
@@ -272,13 +288,9 @@ def _pick_repair(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
         return None
     top = max(f for _, f in groups)
     groups = [grp for grp in groups if grp[1] == top]
-    length = 2
-    while True:
-        longer = _extend(concat, groups, length, top)
-        if not longer:
-            return _smallest(concat, groups, length)
-        groups = longer
-        length += 1
+    for length, groups in _levels(concat, groups, top):
+        pass
+    return _smallest(concat, groups, length)
 
 
 def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
@@ -287,17 +299,13 @@ def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
     f(s) - 1 > 0 more, so the largest score over all repeated strings is
     only reached by maximal ones."""
     concat = _concat(bodies)
-    groups = _pair_groups(concat)
-    length = 2
     best, pick = None, None
-    while groups:
+    for length, groups in _levels(concat, _pair_groups(concat), 2):
         top = max(f for _, f in groups)
         gain = top * (length - 1) - length
         if best is None or gain > best:
             best = gain
             pick = _smallest(concat, [grp for grp in groups if grp[1] == top], length)
-        groups = _extend(concat, groups, length, 2)
-        length += 1
     return pick
 
 
@@ -371,23 +379,18 @@ _PICKS = {
 }
 
 
-def _replace_all(body: list[int], s: tuple[int, ...], new_id: int) -> list[int]:
+def _replace_all(body: list[int], s: list[int], new_id: int) -> list[int]:
     """`body` with the greedy left-to-right non-overlapping occurrences of
     `s` replaced by `new_id`; `body` itself when it lacks `s[0]`."""
-    first = s[0]
-    if first not in body:
+    if s[0] not in body:
         return body
-    m = len(s)
     out: list[int] = []
     i = 0
-    n = len(body)
-    while i < n:
-        if body[i] == first and i + m <= n and tuple(body[i : i + m]) == s:
-            out.append(new_id)
-            i += m
-        else:
-            out.append(body[i])
-            i += 1
+    for p in _nonoverlapping(body, s):
+        out += body[i:p]
+        out.append(new_id)
+        i = p + len(s)
+    out += body[i:]
     return out
 
 
@@ -398,7 +401,7 @@ def global_step(g: SLG, s) -> SLG:
     if len(s) < 2 or s not in maximal_strings(g):
         raise CompressorError("not a maximal string")
     fresh = g.table.fresh_nonterminal("R").id
-    sid = tuple(sym.id for sym in s)
+    sid = [sym.id for sym in s]
     rules = {
         head.id: _replace_all([x.id for x in body], sid, fresh)
         for head, body in g.rules.items()
@@ -415,9 +418,10 @@ def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
     hint = None
     while (sid := pick(bodies, hint)) is not None:
         fresh = table.fresh_nonterminal("R").id
+        sid = list(sid)
         bodies = [_replace_all(b, sid, fresh) for b in bodies]
         heads.append(fresh)
-        bodies.append(list(sid))
+        bodies.append(sid)
         hint = len(sid)
     return _slg(dict(zip(heads, bodies)), heads[0], table)
 
@@ -450,11 +454,10 @@ class _OnlineGrammar:
     order.  The index counts every adjacent pair of every body, overlapping
     pairs included (`pairs`: digram -> {host: count}), every use of a
     secondary (`uses`: secondary -> {host: uses}; its keys are the live
-    secondaries), the secondaries by two-symbol body (`by_body`) and the
-    secondaries used at most once (`rare`).  Every change to a body is a
-    `splice`, which recounts the index only where the body changed.  A trie
-    of the secondaries' expansions is fed with each new rule when `feed` is
-    set."""
+    secondaries) and the secondaries used at most once (`rare`).  Every
+    change to a body is a `splice`, which recounts the index only where the
+    body changed.  A trie of the secondaries' expansions is fed with each
+    new rule when `feed` is set."""
 
     def __init__(self, table: SymbolTable, prefix: str, feed: bool):
         self.table = table
@@ -464,7 +467,6 @@ class _OnlineGrammar:
         self.prefix = prefix
         self.pairs: dict[tuple[int, int], dict[int, int]] = {}
         self.uses: dict[int, dict[int, int]] = {}
-        self.by_body: dict[tuple[int, int], set[int]] = {}
         self.rare: set[int] = set()
         self.exps: dict[int, tuple[int, ...]] | None = {} if feed else None
         self.children: dict[tuple[int, int], int] = {}
@@ -472,8 +474,7 @@ class _OnlineGrammar:
 
     def _count(self, host: int, i: int, j: int, delta: int) -> None:
         """Count `delta` (1 or -1) more in the index for body[i:j] of `host`:
-        each pair that touches it, each use of a secondary in it and, if
-        `host` is a secondary of two symbols, its body."""
+        each pair that touches it and each use of a secondary in it."""
         body = self.rules[host]
         pairs = self.pairs
         for k in range(max(i - 1, 0), min(j, len(body) - 1)):
@@ -503,15 +504,6 @@ class _OnlineGrammar:
                 rare.discard(body[k])
             else:
                 rare.add(body[k])
-        if len(body) == 2 and host != self.start:
-            d = (body[0], body[1])
-            if delta > 0:
-                self.by_body.setdefault(d, set()).add(host)
-            else:
-                heads = self.by_body[d]
-                heads.discard(host)
-                if not heads:
-                    del self.by_body[d]
 
     def splice(self, host: int, i: int, j: int, seq) -> None:
         """Replace body[i:j] of `host` by `seq`."""
@@ -535,20 +527,14 @@ class _OnlineGrammar:
     def replace_digram(self, d: tuple[int, int], new: int) -> None:
         """Replace the greedy left-to-right non-overlapping occurrences of
         `d` by `new` in every body that holds `d`, except `new`'s own."""
-        a, b = d
+        pattern = list(d)
         for host in list(self.pairs[d]):
             if host == new:
                 continue
-            body = self.rules[host]
-            i = 0
-            while True:
-                try:
-                    i = body.index(a, i)
-                except ValueError:
-                    break
-                if i + 1 < len(body) and body[i + 1] == b:
-                    self.splice(host, i, i + 2, (new,))
-                i += 1
+            # From the right: a splice shortens the body past its start.
+            starts = list(_nonoverlapping(self.rules[host], pattern))
+            for i in reversed(starts):
+                self.splice(host, i, i + 2, (new,))
 
     def inline(self, head: int) -> None:
         """Drop the secondary `head`, used at most once, splicing its body
@@ -593,13 +579,16 @@ def _reduce(st: _OnlineGrammar) -> bool:
     body = st.start_body
     if len(body) >= 2:
         d = (body[-2], body[-1])
+        hosts = st.pairs[d]
         # 1. The suffix equals the body of a secondary: the first created.
-        heads = st.by_body.get(d)
-        if heads:
-            st.splice(st.start, len(body) - 2, len(body), (min(heads),))
-            return True
+        # The start rule is one host, so this needs a second one.
+        if len(hosts) > 1:
+            heads = [h for h in hosts if h != st.start and len(st.rules[h]) == 2]
+            if heads:
+                st.splice(st.start, len(body) - 2, len(body), (min(heads),))
+                return True
         # 2. The suffix repeats: another occurrence that does not overlap it.
-        others = sum(st.pairs[d].values()) - 1
+        others = sum(hosts.values()) - 1
         if len(body) >= 3 and body[-3] == d[0] == d[1]:
             others -= 1
         if others > 0:

@@ -152,9 +152,6 @@ class SLG:
     def size(self) -> int:
         return sum(len(body) for body in self.rules.values())
 
-    def nonterminals(self) -> tuple[Symbol, ...]:
-        return tuple(self.rules)
-
     def terminals(self) -> frozenset[Symbol]:
         out = set()
         for body in self.rules.values():

@@ -38,6 +38,7 @@ from slglab.symbols import SymbolTable
 from conftest import (
     brute_dyadic_distinct,
     brute_maximal_strings,
+    greedy_count_in_bodies,
     interned,
     lzd_parts_reference,
     run_global_reference,
@@ -58,6 +59,35 @@ def test_count_nonoverlapping(table):
     assert count_nonoverlapping("ab", g) == 1
     g = _single_rule(table, "ababa")
     assert count_nonoverlapping("aba", g) == 1
+    g = _single_rule(table, "aaaaaaa")
+    assert count_nonoverlapping("aaa", g) == 2
+    # Multi-rule grammars, with patterns longer than some of the bodies.
+    rng = random.Random(41)
+    for _ in range(200):
+        t = SymbolTable()
+        heads = [t.fresh_nonterminal("W") for _ in range(rng.randint(1, 4))]
+        bodies = [
+            list(random_string(rng, rng.randint(1, 12), rng.randint(1, 3), t))
+            for _ in heads
+        ]
+        for head in heads[1:]:
+            bodies[0].insert(rng.randint(0, len(bodies[0])), head)
+        g = SLG(dict(zip(heads, bodies)), heads[0], t)
+        present = sorted({x for b in g.rules.values() for x in b}, key=lambda x: x.id)
+        absent = t.terminal("z")
+        for _ in range(12):
+            body = rng.choice(list(g.rules.values()))
+            i = rng.randrange(len(body))
+            s = body[i : i + rng.randint(1, 8)]
+            patterns = [
+                s,
+                s + (absent,),  # its first symbol occurs, it never matches
+                tuple(rng.choice(present) for _ in range(rng.randint(1, 14))),
+                (body[i],) * rng.randint(2, 4),  # overlaps itself
+            ]
+            for p in patterns:
+                want = greedy_count_in_bodies(g.rules.values(), p)
+                assert count_nonoverlapping(p, g) == want
 
 
 def test_maximal_strings_examples(table):
@@ -103,6 +133,10 @@ def test_global_step_examples(table):
     g = _single_rule(table, "aaaa")
     out = global_step(g, "aa")
     assert out.size == 4 and expand_text(out) == "aaaa"
+    out = global_step(_single_rule(table, "abababa"), "aba")
+    assert out.size == 6 and expand_text(out) == "abababa"
+    out = global_step(_single_rule(table, "aaaaa"), "aa")
+    assert out.size == 5 and expand_text(out) == "aaaaa"
     with pytest.raises(CompressorError, match="not a maximal string"):
         global_step(g, "a")
     with pytest.raises(CompressorError, match="not a maximal string"):
