@@ -447,9 +447,7 @@ class PointSet:
         for x, y in sorted(pts):
             if not (1 <= x <= m and 1 <= y <= m):
                 raise BoostError(f"point ({x}, {y}) outside the {m} x {m} grid")
-        side = max(2, m)
-        while side & (side - 1):
-            side += 1
+        side = max(2, 1 << (m - 1).bit_length())
         pts.update((p, p) for p in range(m + 1, side + 1))
         return PointSet(side, frozenset(pts))
 
@@ -474,70 +472,61 @@ def answer_string(p: PointSet) -> str:
 def answer_grammar(p: PointSet) -> SLG:
     """Admissible grammar expanding to the answer string.
 
-    Rows are processed bottom-up over a persistent perfect binary tree whose
-    nodes carry nonterminals for their substring and its bitwise negation; a
-    point negates its row suffix by flipping one leaf and swapping right
-    siblings along the root path.  Row roots are then combined by a second
-    perfect tree.  Each call interns into a fresh table of its own.
+    Each row is the root of a perfect binary tree over its m cells; row y is
+    row y - 1 with the suffix from each of its points negated.  A point
+    rewrites one root-to-leaf path, read from the rules: it flips the leaf,
+    swaps each right sibling on the path for its negation and re-pairs on
+    the way up.  Pairs are made as head and partner, children and their
+    negations together, so every node's negation is one lookup.  Row roots
+    are combined by a second perfect tree.  Each call interns into a fresh
+    table of its own.
     """
     table = SymbolTable()
-    m = p.m
-    levels = m.bit_length() - 1
+    levels = p.m.bit_length() - 1
     zero, one = table.terminal("0"), table.terminal("1")
 
     rules: dict[Symbol, tuple[Symbol, ...]] = {}
     pair_nt: dict[tuple[int, int], Symbol] = {}
     neg_of: dict[int, Symbol] = {zero.id: one, one.id: zero}
 
-    def ensure(aa: Symbol, bb: Symbol) -> Symbol:
-        key = (aa.id, bb.id)
-        have = pair_nt.get(key)
-        if have is not None:
-            return have
+    def intern(aa: Symbol, bb: Symbol) -> Symbol:
         head = table.fresh_nonterminal("V")
         rules[head] = (aa, bb)
-        pair_nt[key] = head
-        na, nb = neg_of[aa.id], neg_of[bb.id]
-        nkey = (na.id, nb.id)
-        partner = pair_nt.get(nkey)
-        if partner is None:
-            partner = table.fresh_nonterminal("V")
-            rules[partner] = (na, nb)
-            pair_nt[nkey] = partner
-            neg_of[partner.id] = head
-        neg_of[head.id] = partner
+        pair_nt[aa.id, bb.id] = head
         return head
 
-    # level h holds m >> h node symbols; start from the all-zeros row
-    tree: list[list[Symbol]] = [[zero] * m]
-    for h in range(1, levels + 1):
-        below = tree[h - 1]
-        tree.append([ensure(below[2 * j], below[2 * j + 1]) for j in range(m >> h)])
+    def ensure(aa: Symbol, bb: Symbol) -> Symbol:
+        # a pair and its negation are made together, and negation has no
+        # fixed point, so a new head always comes with a new partner
+        head = pair_nt.get((aa.id, bb.id))
+        if head is None:
+            head = intern(aa, bb)
+            partner = intern(neg_of[aa.id], neg_of[bb.id])
+            neg_of[head.id], neg_of[partner.id] = partner, head
+        return head
 
+    def negate_from(node: Symbol, h: int, x: int) -> Symbol:
+        """`node` of height h with its cells from 0-based offset x negated."""
+        if h == 0:
+            return neg_of[node.id]
+        aa, bb = rules[node]
+        half = 1 << (h - 1)
+        if x < half:
+            return ensure(negate_from(aa, h - 1, x), neg_of[bb.id])
+        return ensure(aa, negate_from(bb, h - 1, x - half))
+
+    row = zero
+    for _ in range(levels):
+        row = ensure(row, row)
     by_row: dict[int, list[int]] = {}
     for x, y in p.points:
         by_row.setdefault(y, []).append(x)
-
-    row_roots: list[Symbol] = []
-    for y in range(1, m + 1):
+    combined: list[Symbol] = []
+    for y in range(1, p.m + 1):
         for x in sorted(by_row.get(y, ())):
-            # Swapping in a negation symbol higher up leaves the arrays below
-            # stale, so refresh the root-to-leaf path from the rules first.
-            for h in range(levels, 0, -1):
-                idx = (x - 1) >> h
-                aa, bb = rules[tree[h][idx]]
-                tree[h - 1][2 * idx] = aa
-                tree[h - 1][2 * idx + 1] = bb
-            j = x - 1
-            tree[0][j] = neg_of[tree[0][j].id]
-            for h in range(1, levels + 1):
-                if j % 2 == 0:  # arrived from the left child: negate the sibling
-                    tree[h - 1][j + 1] = neg_of[tree[h - 1][j + 1].id]
-                j //= 2
-                tree[h][j] = ensure(tree[h - 1][2 * j], tree[h - 1][2 * j + 1])
-        row_roots.append(tree[levels][0])
+            row = negate_from(row, levels, x - 1)
+        combined.append(row)
 
-    combined = row_roots
     while len(combined) > 1:
         combined = [
             ensure(combined[2 * j], combined[2 * j + 1])

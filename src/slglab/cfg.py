@@ -11,8 +11,8 @@ symbol whose display would read back as something else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import count
 
 from .boost import alpha_sentinel_counts, beta_sentinel_counts
@@ -33,7 +33,6 @@ class CFG:
 
     rules: tuple[tuple[Symbol, tuple[Symbol, ...]], ...]
     start: Symbol
-    _compiled: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         heads = {h for h, _ in self.rules}
@@ -59,6 +58,11 @@ class CFG:
                 if s.is_terminal():
                     out.add(s)
         return frozenset(out)
+
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        """The 2NF recogniser tables, compiled on first use."""
+        return _compile(self)
 
 
 # -- text format: `HEAD -> tok tok | tok | _` (`_` is epsilon) ---------------
@@ -144,8 +148,6 @@ class _Compiled:
 
 
 def _compile(g: CFG) -> _Compiled:
-    if g._compiled:
-        return g._compiled[0]
     # Work over integer ids; negative ids for helper nonterminals.
     fresh = count(-1, -1).__next__
     start = g.start.id
@@ -203,15 +205,13 @@ def _compile(g: CFG) -> _Compiled:
         t: tuple(dense(a) for a in heads(t) if a != t or t in index) for t in term_ids
     }
 
-    compiled = _Compiled(
+    return _Compiled(
         term_ids,
         unary,
         tuple(tuple(binary_left.get(x, ())) for x in range(len(index))),
         index.get(start),
         start in nullable,
     )
-    g._compiled.append(compiled)
-    return compiled
 
 
 def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
@@ -226,7 +226,7 @@ def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
     u = tuple(u)
     if len(u) > length_cap:
         raise CfgError(f"input length {len(u)} exceeds the cap {length_cap}")
-    comp = _compile(g)
+    comp = g._compiled
     term_ids = comp.term_ids
     for s in u:
         if s.id not in term_ids:

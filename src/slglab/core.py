@@ -266,29 +266,25 @@ def make_admissible(g: SLG) -> SLG:
         ]
 
     # Prune vertices with exactly one outgoing edge, deepest-first.  The
-    # redirect map sends a pruned nonterminal to the symbol it stood for.
+    # redirect map sends a pruned nonterminal to the symbol it stood for;
+    # children are pruned before their parents, so that symbol is final.
     redirect: dict[Symbol, Symbol] = {}
-
-    def resolve(sym: Symbol) -> Symbol:
-        while sym in redirect:
-            sym = redirect[sym]
-        return sym
-
     for head in g.topological():
         if head not in bodies:
             continue
         if len(bodies[head]) == 1:
-            redirect[head] = resolve(bodies[head][0])
+            sym = bodies[head][0]
+            redirect[head] = redirect.get(sym, sym)
             del bodies[head]
 
-    start = resolve(g.start)
+    start = redirect.get(g.start, g.start)
     if start.is_terminal() or start not in bodies:
         raise GrammarError("expansion too short")
 
     table = g.table
     out: dict[Symbol, tuple[Symbol, ...]] = {}
     for head, body in bodies.items():
-        u = [resolve(s) for s in body]
+        u = [redirect.get(s, s) for s in body]
         while len(u) > 2:
             k = len(u) // 2
             packed: list[Symbol] = []

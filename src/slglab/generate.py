@@ -96,7 +96,7 @@ def random_admissible_slg_with_expansion(
     """Admissible grammar whose total expansion stays under the given cap;
     the nonterminal count is drawn to fit."""
     hi = max(1, max_total_expansion // 7)
-    nv = rng.randint(1, max(1, hi))
+    nv = rng.randint(1, hi)
     return random_admissible_slg(
         rng, nv, alphabet_size, max_total_expansion, table
     )

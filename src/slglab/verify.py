@@ -42,23 +42,20 @@ class _Suite:
         self.rng = random.Random(f"{seed}:{name}")
         self.verdicts: list[Verdict] = []
 
-    def record(self, trial: int, check: str, expected, actual) -> bool:
+    def record(self, trial: int, check: str, expected, actual) -> None:
         ok = expected == actual
         self.verdicts.append(
             Verdict(trial, check, f"expected={expected} actual={actual}", ok)
         )
-        return ok
 
-    def record_le(self, trial: int, check: str, actual, bound) -> bool:
+    def record_le(self, trial: int, check: str, actual, bound) -> None:
         ok = actual <= bound
         self.verdicts.append(
             Verdict(trial, check, f"actual={actual} bound={bound}", ok)
         )
-        return ok
 
-    def record_bool(self, trial: int, check: str, ok: bool, detail: str = "") -> bool:
+    def record_bool(self, trial: int, check: str, ok: bool, detail: str = "") -> None:
         self.verdicts.append(Verdict(trial, check, detail or "holds", bool(ok)))
-        return bool(ok)
 
 
 def _boosted(s: _Suite, trials: int, max_nonterms: int, booster):

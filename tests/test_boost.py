@@ -1,6 +1,7 @@
 """Boosting constructions: length and offset identities, the intermediate
 grammar family, answer strings, and the run-length predecessor string."""
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -514,6 +515,26 @@ def test_answer_grammar_single_column():
     ps = PointSet(2, frozenset({(1, 1), (1, 2)}))
     g = answer_grammar(ps)
     assert expand_text(g) == answer_string(ps)
+
+
+def test_answer_grammar_names_are_pinned():
+    # The fresh names V1, V2, ... follow the order in which head/partner
+    # pairs are made: a change to that order, or to the rules, fails here.
+    # The padded draws put several points in some rows; the permutations
+    # reach the sizes the acceptance chain uses.
+    rng = random.Random(101)
+    digest = hashlib.sha256()
+    for m in range(1, 34):
+        ps = PointSet.normalized(m, random_point_set(rng, m))
+        digest.update(serialize(answer_grammar(ps)).encode())
+    for m in (64, 128):
+        ys = list(range(1, m + 1))
+        rng.shuffle(ys)
+        ps = PointSet(m, frozenset(zip(range(1, m + 1), ys)))
+        digest.update(serialize(answer_grammar(ps)).encode())
+    assert digest.hexdigest() == (
+        "cc2f5cea0487eddd125cf14ff35eb2a3dca4eb9deb5d1743424fda7ca6991787"
+    )
 
 
 # -- run-length predecessor string ---------------------------------------------

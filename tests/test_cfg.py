@@ -1,5 +1,6 @@
 """CFG membership against a derivation-search oracle, the three primitive
 transformations on exhaustive string sets, and end-to-end re-targeting."""
+import dataclasses
 import random
 import re
 
@@ -85,14 +86,21 @@ def test_cyk_length_cap(table):
     assert not cyk_member(g, (a,) * 5, length_cap=5)
 
 
-def test_cyk_compiles_once_per_grammar(table):
+def test_cyk_compiles_once_per_grammar(table, monkeypatch):
     g = _cfg(table, "S -> A B | _\nA -> a | a A\nB -> b\n")
     a, b = table.terminal("a"), table.terminal("b")
+    calls = []
+
+    def counted(grammar):
+        calls.append(grammar)
+        return _compile(grammar)
+
+    monkeypatch.setattr(slglab.cfg, "_compile", counted)
     for w in ((), (a, b), (a, a, b), (b, a)):
         cyk_member(g, w)
-    assert len(g._compiled) == 1
-    comp = _compile(g)
-    assert comp is g._compiled[0]
+    assert calls == [g]
+    comp = g._compiled
+    assert [f.name for f in dataclasses.fields(g)] == ["rules", "start"]
     m = len(comp.binary_left)
     assert 0 <= comp.start < m
     heads = [h for hs in comp.unary.values() for h in hs]
