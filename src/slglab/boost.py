@@ -89,16 +89,7 @@ def canonical_order(g: SLG) -> tuple[Symbol, ...]:
     """Nonterminals by nondecreasing expansion length; ties resolved by
     first appearance in a preorder walk of the parse tree."""
     lens = g.expansion_lengths()
-    first_seen: dict[Symbol, int] = {}
-    stack = [g.start]
-    while stack:
-        node = stack.pop()
-        if node in first_seen:
-            continue
-        first_seen[node] = len(first_seen)
-        for sym in reversed(g.rules[node]):
-            if sym.is_nonterminal() and sym not in first_seen:
-                stack.append(sym)
+    first_seen = reachable_nonterminals(g)
     return tuple(sorted(g.rules, key=lambda n: (lens[n], first_seen[n])))
 
 

@@ -7,6 +7,7 @@ construction.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .symbols import Symbol, SymbolTable, parse_sentinel_display
@@ -164,15 +165,20 @@ class SLG:
         return f"SLG(start={self.start.display}, rules={len(self.rules)})"
 
 
-def reachable_nonterminals(g: SLG) -> set[Symbol]:
-    seen = {g.start}
+def reachable_nonterminals(g: SLG) -> dict[Symbol, int]:
+    """Each nonterminal reachable from the start, with its rank in a
+    preorder walk that reads every body left to right."""
+    rank: dict[Symbol, int] = {}
     stack = [g.start]
     while stack:
-        for sym in g.rules[stack.pop()]:
-            if sym.is_nonterminal() and sym not in seen:
-                seen.add(sym)
+        node = stack.pop()
+        if node in rank:
+            continue
+        rank[node] = len(rank)
+        for sym in reversed(g.rules[node]):
+            if sym.is_nonterminal() and sym not in rank:
                 stack.append(sym)
-    return seen
+    return rank
 
 
 def expand(g: SLG, x: Symbol) -> tuple[Symbol, ...]:
@@ -298,78 +304,67 @@ def make_admissible(g: SLG) -> SLG:
 
 
 def is_isomorphic(g1: SLG, g2: SLG) -> bool:
-    """Structural equality up to nonterminal renaming, terminals fixed."""
-    if g1.terminals() != g2.terminals():
+    """Structural equality up to nonterminal renaming, terminals fixed.
+
+    A renaming is fixed by the images of its roots: the start and every
+    nonterminal that no body uses.  The start goes to the start; the other
+    roots are paired by a backtracking search that tries `bind`, a parallel
+    walk, on copies of the maps.  A nonterminal and its image have equally
+    many uses, which prunes the search.
+    """
+    if g1.terminals() != g2.terminals() or len(g1.rules) != len(g2.rules):
         return False
-    if len(g1.rules) != len(g2.rules):
+    uses1, uses2 = _uses(g1), _uses(g2)
+    if sorted(uses1.values()) != sorted(uses2.values()):
         return False
+
+    def bind(fwd, bwd, a, b) -> bool:
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            if a in fwd or b in bwd:
+                if fwd.get(a) != b or bwd.get(b) != a:
+                    return False
+                continue
+            fwd[a] = b
+            bwd[b] = a
+            ra, rb = g1.rules[a], g2.rules[b]
+            if len(ra) != len(rb) or uses1[a] != uses2[b]:
+                return False
+            for x, y in zip(ra, rb):
+                if x.is_terminal() or y.is_terminal():
+                    if x != y:
+                        return False
+                else:
+                    stack.append((x, y))
+        return True
+
     fwd: dict[Symbol, Symbol] = {}
     bwd: dict[Symbol, Symbol] = {}
-    stack = [(g1.start, g2.start)]
-    while stack:
-        a, b = stack.pop()
-        if a in fwd:
-            if fwd[a] != b or bwd.get(b) != a:
-                return False
-            continue
-        if b in bwd:
-            return False
-        fwd[a] = b
-        bwd[b] = a
-        ra, rb = g1.rules[a], g2.rules[b]
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x.is_terminal() or y.is_terminal():
-                if x != y:
-                    return False
-            else:
-                stack.append((x, y))
-    if len(fwd) == len(g1.rules):
-        return True
-    # Unreachable remainders are paired by structural signature and the
-    # candidate bijection is then re-verified rule by rule.
-    return _match_remainder(g1, g2, fwd, bwd)
-
-
-def _match_remainder(g1, g2, fwd, bwd) -> bool:
-    def signatures(g, mapped, forward):
-        sig: dict[Symbol, tuple] = {}
-        for head in g.topological():
-            if head in mapped:
-                continue
-            parts = []
-            for s in g.rules[head]:
-                if s.is_terminal():
-                    parts.append(("t", s.id))
-                elif s in mapped:
-                    key = mapped[s].id if forward else s.id
-                    parts.append(("m", key))
-                else:
-                    parts.append(("r", sig[s]))
-            sig[head] = tuple(parts)
-        return sig
-
-    sig1 = signatures(g1, fwd, True)
-    sig2 = signatures(g2, bwd, False)
-    rest1 = sorted(sig1, key=lambda n: (sig1[n], n.id))
-    rest2 = sorted(sig2, key=lambda n: (sig2[n], n.id))
-    if [sig1[n] for n in rest1] != [sig2[n] for n in rest2]:
+    if not bind(fwd, bwd, g1.start, g2.start):
         return False
-    for a, b in zip(rest1, rest2):
-        fwd[a] = b
-    # Final verification of the whole candidate bijection.
-    for a, b in fwd.items():
-        ra, rb = g1.rules[a], g2.rules[b]
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x.is_terminal():
-                if x != y:
-                    return False
-            elif fwd.get(x) != y:
-                return False
-    return True
+    roots1 = [x for x in g1.rules if not uses1[x] and x != g1.start]
+    roots2 = [x for x in g2.rules if not uses2[x] and x != g2.start]
+    # Frame i holds the maps before roots1[i] is bound and its untried
+    # images; an explicit stack keeps off the recursion limit.
+    frames = [(fwd, bwd, iter(roots2))]
+    while frames and len(frames) <= len(roots1):
+        fwd, bwd, candidates = frames[-1]
+        for b in candidates:
+            if b in bwd:
+                continue
+            f, w = dict(fwd), dict(bwd)
+            if bind(f, w, roots1[len(frames) - 1], b):
+                frames.append((f, w, iter(roots2)))
+                break
+        else:
+            frames.pop()
+    return bool(frames)
+
+
+def _uses(g: SLG) -> Counter:
+    """How often each nonterminal occurs on the right-hand sides."""
+    return Counter(s for body in g.rules.values() for s in body if s.is_nonterminal())
 
 
 def random_access(g: SLG, i: int) -> Symbol:

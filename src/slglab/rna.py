@@ -30,15 +30,18 @@ class RnaError(ValueError):
 
 
 def _check_pairs(symbols, match, weight) -> None:
-    """Refuse unless `match` pairs each of `symbols` with another symbol,
-    both ways, and both have one nonnegative weight."""
+    """Refuse unless `match` pairs each of `symbols` with another of
+    `symbols`, both ways, and both have one nonnegative weight."""
+    members = set(symbols)
     for a in symbols:
         b = match.get(a)
         if b is None or b == a or match.get(b) != a:
             raise RnaError(f"match is not a fixed-point-free involution at {a.display}")
+        if b not in members:
+            raise RnaError(f"{a.display} is matched with {b.display}, outside the alphabet")
         if weight.get(a) is None or weight[a] < 0:
             raise RnaError(f"negative or missing weight for {a.display}")
-        if weight[a] != weight[b]:
+        if weight.get(b) != weight[a]:
             raise RnaError(f"weights differ across match pair {a.display}")
 
 

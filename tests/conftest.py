@@ -42,6 +42,22 @@ def interned(table):
 # -- oracles ------------------------------------------------------------------
 
 
+def isomorphic_reference(g1, g2):
+    """Brute force over every bijection of the heads that maps start to
+    start: some bijection maps each body of g1 onto the body of the image."""
+    heads1 = [h for h in g1.rules if h != g1.start]
+    heads2 = [h for h in g2.rules if h != g2.start]
+    if len(heads1) != len(heads2):
+        return False
+    for image in itertools.permutations(heads2):
+        name = dict(zip(heads1, image))
+        name[g1.start] = g2.start
+        if all(tuple(name.get(s, s) for s in body) == g2.rules[name[h]]
+               for h, body in g1.rules.items()):
+            return True
+    return False
+
+
 def greedy_count_in_bodies(bodies, s):
     """Greedy left-to-right non-overlapping occurrence count of s."""
     total = 0

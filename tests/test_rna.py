@@ -70,6 +70,16 @@ def test_alphabet_validation(table):
         MatchedAlphabet((a, b), {a: a, b: b}, {a: 1, b: 1})
     with pytest.raises(RnaError, match="differ across match"):
         MatchedAlphabet((a, b), {a: b, b: a}, {a: 1, b: 2})
+    with pytest.raises(RnaError, match="differ across match"):
+        MatchedAlphabet((a, b), {a: b, b: a}, {a: 1})
+
+
+@pytest.mark.parametrize("weight", [{"q1": 1, "q2": 1}, {"q1": 1}])
+def test_alphabet_refuses_a_partner_outside_symbols(table, weight):
+    a, b = table.terminal("q1"), table.terminal("q2")
+    weight = {table.terminal(x): w for x, w in weight.items()}
+    with pytest.raises(RnaError, match="^q1 is matched with q2, outside the alphabet$"):
+        MatchedAlphabet((a,), {a: b, b: a}, weight)
 
 
 def test_extended_adds_checked_pairs(table):

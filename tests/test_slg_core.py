@@ -33,7 +33,7 @@ from slglab.symbols import (
     parse_sentinel_display,
 )
 
-from conftest import PROPERTY, interned, slg_order_reference
+from conftest import PROPERTY, interned, isomorphic_reference, slg_order_reference
 
 
 def test_expand_examples(table, g0):
@@ -187,7 +187,7 @@ def test_isomorphic_is_equivalence_on_random_grammars():
     rng = random.Random(5)
     for _ in range(20):
         t = SymbolTable()
-        g = random_admissible_slg(rng, rng.randint(1, 8), 3, 200, t)
+        g = random_slg(rng, rng.randint(1, 8), 3, t)
         assert is_isomorphic(g, g)  # reflexive, incl. with unreachable parts
     # symmetric + stats equality spot check
     rng = random.Random(6)
@@ -197,6 +197,42 @@ def test_isomorphic_is_equivalence_on_random_grammars():
     assert is_isomorphic(g, h) and is_isomorphic(h, g)
     assert stats(g) == stats(h)
     assert expand(g, g.start) == expand(h, h.start)
+
+
+_UNUSED = "S -> a b; X1 -> a b; X2 -> a b; "
+_SHARED = "S -> a b; A -> a b; B -> a b; "
+
+
+@pytest.mark.parametrize("first, second, same", [
+    # Z uses one of two equal rules: X1 and X2 swap, or Z uses the start
+    (_UNUSED + "Z -> X2 c", _UNUSED + "Z -> X1 c", True),
+    (_UNUSED + "Z -> X2 c", _UNUSED + "Z -> S c", False),
+    # roots share children with equal bodies: R2 and R3 swap, or A has
+    # three users instead of two
+    (_SHARED + "R1 -> A; R2 -> A; R3 -> B; R4 -> B",
+     _SHARED + "R1 -> A; R2 -> B; R3 -> A; R4 -> B", True),
+    (_SHARED + "R1 -> A; R2 -> A; R3 -> B; R4 -> B",
+     _SHARED + "R1 -> A; R2 -> A; R3 -> A; R4 -> B", False),
+], ids=["swapped", "start-used", "shared", "shared-uneven"])
+def test_isomorphic_pairs_unused_rules(table, first, second, same):
+    g1 = deserialize(first.replace("; ", "\n"), table)
+    g2 = deserialize(second.replace("; ", "\n"), table)
+    assert isomorphic_reference(g1, g2) == same
+    assert is_isomorphic(g1, g2) == same and is_isomorphic(g2, g1) == same
+
+
+def test_isomorphic_agrees_with_reference_on_renamed_random_grammars():
+    rng = random.Random(1)
+    for _ in range(300):
+        t = SymbolTable()
+        g = random_slg(rng, rng.randint(1, 6), 3, t)
+        heads = list(g.rules)
+        rng.shuffle(heads)
+        new = {x: t.fresh_nonterminal("R") for x in heads}
+        h = SLG({new[x]: tuple(new.get(s, s) for s in g.rules[x]) for x in heads},
+                new[g.start], t)
+        assert isomorphic_reference(g, h)
+        assert is_isomorphic(g, h) and is_isomorphic(h, g)
 
 
 # |V| from 1 to 200; odd draws get a cap near the median total expansion of
