@@ -70,6 +70,7 @@ from .cfg import (
     gamma_prime_alpha,
     gamma_prime_beta,
     interleave,
+    language_upto,
     parse_cfg,
     serialize_cfg,
 )

@@ -214,18 +214,54 @@ def _compile(g: CFG) -> _Compiled:
     )
 
 
-def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
-    """Whether `u` belongs to the grammar's language.
+def _check_length(n: int, length_cap: int) -> None:
+    if n > length_cap:
+        raise CfgError(f"input length {n} exceeds the cap {length_cap}")
+
+
+def _row(comp: _Compiled, terminal_id: int, i: int, rows: list[list[int]]) -> list[int]:
+    """The CYK row of a suffix of length `i` that starts with `terminal_id`.
 
     Row-wise bit-vector recognition (Graham, Harrison and Ruzzo, ACM TOPLAS
-    1980): start positions run from right to left, and `rows[i][X]` has bit
-    `j` set when X derives `u[i..j]`.  Each derived item `(X, k)` of row `i`
-    meets the complete row `k + 1` once per rule `A -> X C`, in one big-int
-    operation, and each newly set bit becomes an item, so every `(A, i, j)`
-    is derived once and the cost follows the derived items, not `n^3`."""
+    1980) over suffixes: for every k < i, `rows[k]` is the complete row of
+    the suffix of length k, and `row[X]` has bit b set when X derives the
+    span that starts at this suffix's first symbol and leaves b symbols
+    after it.  Each
+    derived item `(X, b)` meets row b once per rule `A -> X C`, in one
+    big-int operation, and each newly set bit becomes an item, so every
+    span of every head is derived once and the cost follows the derived
+    items, not `n^3`.  A row depends on its suffix alone, not on what
+    precedes it."""
+    bleft = comp.binary_left
+    row = [0] * len(bleft)
+    bit = 1 << (i - 1)
+    work = []
+    for h in comp.unary[terminal_id]:
+        row[h] = bit
+        work.append((h, i - 1))
+    while work:
+        x, b = work.pop()
+        nxt = rows[b]
+        for right, head in bleft[x]:
+            c = nxt[right]
+            if not c:
+                continue
+            new = c & ~row[head]
+            if new:
+                row[head] |= new
+                while new:
+                    low = new & -new
+                    work.append((head, low.bit_length() - 1))
+                    new ^= low
+    return row
+
+
+def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
+    """Whether `u` belongs to the grammar's language: one `_row` per
+    suffix, shortest first; `u` is a member when the start derives all of
+    it, leaving no symbol after it."""
     u = tuple(u)
-    if len(u) > length_cap:
-        raise CfgError(f"input length {len(u)} exceeds the cap {length_cap}")
+    _check_length(len(u), length_cap)
     comp = g._compiled
     term_ids = comp.term_ids
     for s in u:
@@ -236,34 +272,45 @@ def cyk_member(g: CFG, u, length_cap: int = DEFAULT_CYK_CAP) -> bool:
         return comp.nullable_start
     if comp.start is None:
         return False
-    unary = comp.unary
-    bleft = comp.binary_left
-    m = len(bleft)
-    # rows[n] stays all zero; every other row is replaced before it is read
-    rows = [[0] * m] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        row = [0] * m
-        bit = 1 << i
-        work = []
-        for h in unary[u[i].id]:
-            row[h] = bit
-            work.append((h, i))
-        while work:
-            x, k = work.pop()
-            nxt = rows[k + 1]
-            for right, head in bleft[x]:
-                c = nxt[right]
-                if not c:
-                    continue
-                new = c & ~row[head]
-                if new:
-                    row[head] |= new
-                    while new:
-                        low = new & -new
-                        work.append((head, low.bit_length() - 1))
-                        new ^= low
-        rows[i] = row
-    return bool(rows[0][comp.start] >> (n - 1) & 1)
+    # rows[0], the empty suffix's row, stays all zero
+    rows = [[0] * len(comp.binary_left)]
+    for i in range(1, n + 1):
+        rows.append(_row(comp, u[n - i].id, i, rows))
+    return bool(rows[n][comp.start] & 1)
+
+
+def language_upto(g: CFG, alphabet, max_len: int) -> set[tuple[int, ...]]:
+    """The words of L(g) over `alphabet` up to length `max_len`, as a set of
+    tuples of terminal ids (not of symbols).
+
+    A depth-first walk builds the words right to left, so each distinct
+    suffix's `_row` is computed once and shared by every word that ends
+    with it.  A letter that is no terminal of g occurs in no word: such
+    words are outside L(g), where `cyk_member` refuses them.  A `max_len`
+    above the default length cap raises `CfgError` as `cyk_member` does."""
+    _check_length(max_len, DEFAULT_CYK_CAP)
+    comp = g._compiled
+    words = {()} if comp.nullable_start else set()
+    if comp.start is None:
+        return words
+    start = comp.start
+    ids = sorted({s.id for s in alphabet} & comp.term_ids)
+    # rows[k] and tails[k] are the row and the word of the current suffix of
+    # length k; the empty suffix's row stays all zero
+    rows, tails = [[0] * len(comp.binary_left)], [()]
+    todo = [(1, t) for t in ids] if max_len >= 1 else []
+    while todo:
+        i, t = todo.pop()
+        del rows[i:], tails[i:]
+        row = _row(comp, t, i, rows)
+        word = (t, *tails[-1])
+        if row[start] & 1:
+            words.add(word)
+        if i < max_len:
+            rows.append(row)
+            tails.append(word)
+            todo.extend((i + 1, t2) for t2 in ids)
+    return words
 
 
 # -- transformations ----------------------------------------------------------

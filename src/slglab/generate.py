@@ -141,7 +141,9 @@ def random_dyadic_slg(
     """
     if length < 2:
         raise ValueError("length must be at least 2")
-    alpha = terminal_alphabet(table, alphabet_size)
+    # the string is drawn as terminal ids, which hash faster than symbols
+    # when substrings key the memo
+    alpha = [x.id for x in terminal_alphabet(table, alphabet_size)]
     if rng.random() < 0.5:
         period = rng.randint(1, 4)
         pat = [rng.choice(alpha) for _ in range(period)]
@@ -150,11 +152,11 @@ def random_dyadic_slg(
         content = [rng.choice(alpha) for _ in range(length)]
 
     rules: dict[Symbol, tuple[Symbol, ...]] = {}
-    memo: dict[tuple[Symbol, ...], list[Symbol]] = {}
+    memo: dict[tuple[int, ...], list[Symbol]] = {}
 
-    def node(s: tuple[Symbol, ...]) -> Symbol:
+    def node(s: tuple[int, ...]) -> Symbol:
         if len(s) == 1:
-            return s[0]
+            return table.by_id(s[0])
         known = memo.get(s)
         if known and rng.random() < 0.6:
             return rng.choice(known)

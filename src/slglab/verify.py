@@ -138,10 +138,11 @@ def suite_bisection(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
     s = _Suite("bisection", seed)
 
     def distinct_dyadic(u):
+        ids = tuple(x.id for x in u)  # id tuples hash faster than symbol tuples
         seen, k = set(), 2
-        while k <= len(u):
-            for a in range(0, len(u) - k + 1, k):
-                seen.add(u[a : a + k])
+        while k <= len(ids):
+            for a in range(0, len(ids) - k + 1, k):
+                seen.add(ids[a : a + k])
             k *= 2
         return len(seen)
 
@@ -231,20 +232,30 @@ def suite_cfg(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
         e0,
     )
 
-    # The base language up to length 6, parsed once; every equation is then a
-    # lookup in it.  A string holding d1 is never in it.
-    words = [w for n in range(7) for w in product((a, b, c, d1), repeat=n)]
-    lang = {w for w in words if d1 not in w and cfgmod.cyk_member(base, w)}
-    inter = _recogniser(cfgmod.interleave(base, 1, 0, table))
-    pref = _recogniser(cfgmod.add_prefix(base, 2, (a, b, c), table))
-    erased = _recogniser(cfgmod.erase_closure(base, [d1], table))
+    # Each language up to length 6 is walked once, as tuples of terminal ids;
+    # every equation is then a set lookup.  A string holding d1 is never in
+    # the base language, nor in the prefixed one.
+    sigma = (a, b, c, d1)
+    ids = [x.id for x in sigma]
+    words = [w for n in range(7) for w in product(ids, repeat=n)]
+    lang, inter, pref, erased = (
+        cfgmod.language_upto(g, sigma, 6)
+        for g in (
+            base,
+            cfgmod.interleave(base, 1, 0, table),
+            cfgmod.add_prefix(base, 2, (a, b, c), table),
+            cfgmod.erase_closure(base, [d1], table),
+        )
+    )
     ok_i = all(
-        inter(w) == (bool(w) and len(w) % 2 == 0 and w[0::2] in lang)
+        (w in inter) == (bool(w) and len(w) % 2 == 0 and w[0::2] in lang)
         for w in words
     )
-    ok_e = all(erased(w) == (tuple(x for x in w if x != d1) in lang) for w in words)
+    ok_e = all(
+        (w in erased) == (tuple(x for x in w if x != d1.id) in lang) for w in words
+    )
     ok_p = all(
-        pref(w) == (len(w) >= 2 and w[2:] in lang) for w in words if d1 not in w
+        (w in pref) == (len(w) >= 2 and w[2:] in lang) for w in words if d1.id not in w
     )
     s.record_bool(1, "interleave-language-equation", ok_i, "all strings up to length 6")
     s.record_bool(1, "add-prefix-language-equation", ok_p, "all strings up to length 6")

@@ -19,11 +19,12 @@ from slglab import (
     gamma_prime_alpha,
     gamma_prime_beta,
     interleave,
+    language_upto,
     parse_cfg,
     serialize_cfg,
 )
 from slglab.boost import alpha_sentinel_counts, beta_sentinel_counts
-from slglab.cfg import _compile
+from slglab.cfg import DEFAULT_CYK_CAP, _compile
 from slglab.generate import random_admissible_slg
 from slglab.symbols import SentinelFamily, SymbolTable
 from slglab.verify import suite_cfg
@@ -98,6 +99,7 @@ def test_cyk_compiles_once_per_grammar(table, monkeypatch):
     monkeypatch.setattr(slglab.cfg, "_compile", counted)
     for w in ((), (a, b), (a, a, b), (b, a)):
         cyk_member(g, w)
+    language_upto(g, (a, b), 4)
     assert calls == [g]
     comp = g._compiled
     assert [f.name for f in dataclasses.fields(g)] == ["rules", "start"]
@@ -106,6 +108,40 @@ def test_cyk_compiles_once_per_grammar(table, monkeypatch):
     heads = [h for hs in comp.unary.values() for h in hs]
     pairs = [x for rules in comp.binary_left for pair in rules for x in pair]
     assert all(0 <= x < m for x in heads + pairs)
+
+
+def _ids(words):
+    return {tuple(s.id for s in w) for w in words}
+
+
+def test_language_upto_edges(table):
+    a, b, z = (table.terminal(c) for c in "abz")
+    # a nullable start yields the empty word, as id tuples throughout
+    g = _cfg(table, "S -> _ | a S b\n")
+    assert language_upto(g, (a, b), 4) == _ids([(), (a, b), (a, a, b, b)])
+    assert language_upto(g, (a, b), 0) == {()}
+    # a dead start yields nothing; a start whose one rule is epsilon yields
+    # the empty word alone
+    dead = _cfg(table, "T -> T a | a T\n")
+    assert language_upto(dead, (a,), 5) == set()
+    eps = _cfg(table, "E -> _\nB -> a\n")
+    assert language_upto(eps, (a,), 3) == {()}
+    # a letter outside the grammar's terminals occurs in no word, as in
+    # verify's recogniser, where cyk_member would refuse it
+    star = _cfg(table, "A -> _ | a A\n")
+    assert language_upto(star, (a, z), 3) == _ids([(), (a,), (a, a), (a, a, a)])
+    assert language_upto(star, (z,), 3) == {()}
+    one = _cfg(table, "C -> a\n")
+    assert language_upto(one, (a,), 0) == set()
+    # the length cap is cyk_member's, with its message
+    over = DEFAULT_CYK_CAP + 1
+    message = f"^input length {over} exceeds the cap {DEFAULT_CYK_CAP}$"
+    with pytest.raises(CfgError, match=message):
+        language_upto(star, (a,), over)
+    with pytest.raises(CfgError, match=message):
+        cyk_member(star, (a,) * over)
+    # one letter: a walk as deep as the cap needs no recursion
+    assert language_upto(one, (a,), DEFAULT_CYK_CAP) == _ids([(a,)])
 
 
 def test_2nf_has_nodes_only_on_binary_sides_and_no_repeated_entries(table):
@@ -233,6 +269,7 @@ def test_cyk_agrees_with_derivation_search(grammars, max_len, setting, min_check
         for w in all_strings_upto(used, max_len):
             assert cyk_member(g, w) == cyk_member_table(g, w) == (w in members)
             checked += 1
+        assert language_upto(g, used, max_len) == _ids(members)
     assert checked > min_checked
     assert must_occur <= shapes
 
@@ -427,23 +464,44 @@ _EQUATIONS = {
     "add_prefix": "add-prefix-language-equation",
     "erase_closure": "erase-closure-language-equation",
 }
-# Each broken variant wraps the real rewrite: no `$` sentinels, one prefix
-# letter too many, no sentinels to erase.
+
+
+def _without_first_wildcard(real):
+    """`interleave` that leaves out the wildcard after one terminal: the
+    first terminal of the first rule that holds one."""
+    def broken(g, dollars, hashes, table):
+        out = real(g, dollars, hashes, table)
+        rules = list(out.rules)
+        k, j = next((k, j) for k, (_, body) in enumerate(rules)
+                    for j, x in enumerate(body) if x.is_terminal())
+        head, body = rules[k]
+        rules[k] = (head, body[: j + 1] + body[j + 2:])
+        return CFG(tuple(rules), out.start)
+    return broken
+
+
+# Each broken variant, by case, names the rewrite it replaces and wraps the
+# real one: no `$` sentinels, one prefix letter too many, no sentinels to
+# erase (the real rules without `ND -> $_1`), one wildcard left out.
 _BROKEN = {
-    "interleave": lambda real: lambda g, dollars, hashes, table:
-        real(g, 0, hashes, table),
-    "add_prefix": lambda real: lambda g, k, alphabet, table:
-        real(g, k + 1, alphabet, table),
-    "erase_closure": lambda real: lambda g, sentinels, table: real(g, [], table),
+    "interleave": ("interleave", lambda real: lambda g, dollars, hashes, table:
+                   real(g, 0, hashes, table)),
+    "add_prefix": ("add_prefix", lambda real: lambda g, k, alphabet, table:
+                   real(g, k + 1, alphabet, table)),
+    "erase_closure": ("erase_closure", lambda real: lambda g, sentinels, table:
+                      real(g, [], table)),
+    "interleave-one-wildcard": ("interleave", _without_first_wildcard),
 }
 
 
-@pytest.mark.parametrize("name", list(_BROKEN))
-def test_cfg_suite_catches_broken_rewrites(monkeypatch, name):
+@pytest.mark.parametrize("case", list(_BROKEN))
+def test_cfg_suite_catches_broken_rewrites(monkeypatch, case):
     # The exhaustive equations of `verify --suite cfg` fail exactly on the
-    # broken rewrite.  The re-targeting verdicts use the rewrites too, so
-    # they are not checked here.
-    monkeypatch.setattr(slglab.cfg, name, _BROKEN[name](getattr(slglab.cfg, name)))
+    # broken rewrite, so the set lookups behind them do not pass vacuously.
+    # The re-targeting verdicts use the rewrites too, so they are not
+    # checked here.
+    name, breaker = _BROKEN[case]
+    monkeypatch.setattr(slglab.cfg, name, breaker(getattr(slglab.cfg, name)))
     verdicts = {v.check: v.ok for v in suite_cfg(0, 1, 4)
                 if v.check in _EQUATIONS.values()}
     assert verdicts == {check: fn != name for fn, check in _EQUATIONS.items()}
