@@ -226,19 +226,20 @@ def _row(comp: _Compiled, terminal_id: int, i: int, rows: list[list[int]]) -> li
     1980) over suffixes: for every k < i, `rows[k]` is the complete row of
     the suffix of length k, and `row[X]` has bit b set when X derives the
     span that starts at this suffix's first symbol and leaves b symbols
-    after it.  Each
-    derived item `(X, b)` meets row b once per rule `A -> X C`, in one
-    big-int operation, and each newly set bit becomes an item, so every
-    span of every head is derived once and the cost follows the derived
-    items, not `n^3`.  A row depends on its suffix alone, not on what
-    precedes it."""
+    after it.  Each derived item `(X, b)` meets row b once per rule
+    `A -> X C`, in one big-int operation, and each newly set bit of a head
+    that is the left side of some rule becomes an item (any other head's
+    item would meet no rule), so every span of every head is derived once
+    and the cost follows the derived items, not `n^3`.  A row depends on
+    its suffix alone, not on what precedes it."""
     bleft = comp.binary_left
     row = [0] * len(bleft)
     bit = 1 << (i - 1)
     work = []
     for h in comp.unary[terminal_id]:
         row[h] = bit
-        work.append((h, i - 1))
+        if bleft[h]:
+            work.append((h, i - 1))
     while work:
         x, b = work.pop()
         nxt = rows[b]
@@ -249,10 +250,11 @@ def _row(comp: _Compiled, terminal_id: int, i: int, rows: list[list[int]]) -> li
             new = c & ~row[head]
             if new:
                 row[head] |= new
-                while new:
-                    low = new & -new
-                    work.append((head, low.bit_length() - 1))
-                    new ^= low
+                if bleft[head]:
+                    while new:
+                        low = new & -new
+                        work.append((head, low.bit_length() - 1))
+                        new ^= low
     return row
 
 

@@ -19,7 +19,11 @@ the smaller id sequence:
 - LongestMatch takes the longest string with two non-overlapping
   occurrences, found by a galloping search over its length.
 - Greedy takes the largest f(L - 1) - L over all repeated strings of
-  length L, grown level by level from the pairs.
+  length L, grown level by level from the pairs.  A string of length L
+  occurs at most total / L times without overlap in the `total` ids of the
+  bodies, so its score is at most total - total / L - L.  That bound falls
+  once L * L >= total, and the walk stops at the first such length whose
+  bound is no better than the best score found.
 
 Sequential and Sequitur share one driver and Sequitur's three reductions
 (Nevill-Manning and Witten, JAIR 1997), applied to quiescence after each
@@ -183,17 +187,19 @@ def _rule_id_seqs(g: SLG) -> list[list[int]]:
 
 
 def _pair_groups(concat: list[int]) -> list[tuple[list[int], int]]:
-    """The groups of the pairs with f >= 2."""
+    """The groups of the pairs with f >= 2, in order of first position.
+
+    Each separator is unique, so a pair that touches one has a single
+    position and drops out with the other pairs seen once.  Occurrences of
+    a pair (a, b) with a != b cannot overlap, so its f is its number of
+    positions; only a pair (a, a) needs the greedy count."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for p in range(len(concat) - 1):
-        a = concat[p]
-        if a < 0 or concat[p + 1] < 0:
-            continue
-        groups.setdefault((a, concat[p + 1]), []).append(p)
+    for p, pair in enumerate(zip(concat, concat[1:])):
+        groups.setdefault(pair, []).append(p)
     out = []
-    for positions in groups.values():
+    for (a, b), positions in groups.items():
         if len(positions) >= 2:
-            f = _greedy_disjoint(positions, 2)
+            f = _greedy_disjoint(positions, 2) if a == b else len(positions)
             if f >= 2:
                 out.append((positions, f))
     return out
@@ -297,8 +303,18 @@ def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
     """The maximal string of largest f(L - 1) - L.  A string s that is not
     maximal has an extension t with f(t) >= f(s), which scores at least
     f(s) - 1 > 0 more, so the largest score over all repeated strings is
-    only reached by maximal ones."""
+    only reached by maximal ones.
+
+    The level walk stops once no longer string can beat the best score.
+    Let `total` be the number of ids in the bodies.  A string of length L
+    with f non-overlapping occurrences has f * L <= total, so its score is
+    at most h(L) = total - total / L - L, and h does not increase once
+    L * L >= total.  So when the next length n has n * n >= total and
+    h(n) <= best, that is total * (n - 1) - n * n <= best * n, no string of
+    length n or more scores above the best, and ties already go to the
+    shorter string."""
     concat = _concat(bodies)
+    total = len(concat) - len(bodies)
     best, pick = None, None
     for length, groups in _levels(concat, _pair_groups(concat), 2):
         top = max(f for _, f in groups)
@@ -306,6 +322,9 @@ def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
         if best is None or gain > best:
             best = gain
             pick = _smallest(concat, [grp for grp in groups if grp[1] == top], length)
+        nxt = length + 1
+        if nxt * nxt >= total and total * (nxt - 1) - nxt * nxt <= best * nxt:
+            break
     return pick
 
 

@@ -144,6 +144,19 @@ def test_language_upto_edges(table):
     assert language_upto(one, (a,), DEFAULT_CYK_CAP) == _ids([(a,)])
 
 
+def test_cyk_on_a_head_that_derives_every_span(table):
+    # A and its helper derive spans of every suffix but are the left side of
+    # no binary rule, so their bits make no work items; with one item per
+    # bit, 4,000 symbols took seconds.
+    g = _cfg(table, "A -> _ | a a A\n")
+    a = table.terminal("a")
+    assert cyk_member(g, (a,) * 4000)
+    assert not cyk_member(g, (a,) * 3999)
+    words = language_upto(g, (a,), 30)
+    assert words == {(a.id,) * k for k in range(0, 31, 2)}
+    assert all(cyk_member(g, (a,) * k) == ((a.id,) * k in words) for k in range(31))
+
+
 def test_2nf_has_nodes_only_on_binary_sides_and_no_repeated_entries(table):
     # N mirrors erase_closure's ND: d occurs only in the unit body N -> d,
     # and b only in B -> b, so neither needs a node of its own.  T stands

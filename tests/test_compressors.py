@@ -1,5 +1,6 @@
 """Compressor behavior: definitional examples, oracle agreement, round
 trips, and the concatenation laws."""
+import hashlib
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from slglab import (
     sequitur,
     serialize,
 )
+from slglab import compressors
 from slglab.generate import random_admissible_slg, random_matched_alphabet, random_string
 from slglab.symbols import SymbolTable
 
@@ -211,6 +213,107 @@ def test_repair_pairs_only_equals_repair():
         t1, t2 = SymbolTable(), SymbolTable()
         assert serialize(repair_pairs_only(make(t1), t1)) == serialize(
             repair(make(t2), t2)), label
+
+
+def _benchmark_texts():
+    """Three seeded 1,024-symbol texts: random over 2 and over 16 letters,
+    and a primitive word of length 8 repeated."""
+    t = SymbolTable()
+    rng = random.Random(1)
+    texts = [random_string(rng, 1024, 2, t), random_string(rng, 1024, 16, t)]
+    word = random_string(rng, 8, 4, t)
+    while any(word == word[p:] + word[:p] for p in range(1, 8)):
+        word = random_string(rng, 8, 4, t)
+    texts.append(word * 128)
+    return ["".join(s.display for s in u) for u in texts]
+
+
+_GLOBAL_DIGESTS = {
+    "repair": (
+        "b4eecf47389ac0a97671fd695c8ee58ef5954bbb6d87d05b0ded7dc95ac6f8fd",
+        "0f7b2d496d8e1da8732f73bf3fae25a838f026ff658c8391769d32ec82b79eff",
+        "32c9d2ea8c90a417700a0e5c035feed738177ae00a29741b5c1c1d646c57d54e",
+    ),
+    "greedy": (
+        "db78b745eac19a8f94d0056b2367db811303229fd7f845e3dd7f545fc57bab89",
+        "ca0fffdb718d9ee0195798721062c56e8f8038b61f8b5f7b462ed70a17ad4766",
+        "45d698ee34b224550d6ab97fed73abae97691b5eddaa083352b1df118184a6db",
+    ),
+    "longest_match": (
+        "5e4f836793d7f557bff80735a9eb33096d349680a7f0f6fc88f221508137e3f3",
+        "f6da9b3ad30268e25ca047b32ab7334d7387a9bc2c2623767af217cca01b624a",
+        "1f6b9ff92f3535d130489a185d40b409e7eeeafe7bbfafb04cda70254c27f5bb",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "compress, digests",
+    [(repair, _GLOBAL_DIGESTS["repair"]),
+     (repair_pairs_only, _GLOBAL_DIGESTS["repair"]),
+     (greedy, _GLOBAL_DIGESTS["greedy"]),
+     (longest_match, _GLOBAL_DIGESTS["longest_match"])],
+    ids=["repair", "repair2", "greedy", "longest"],
+)
+def test_global_outputs_are_pinned(compress, digests):
+    for text, digest in zip(_benchmark_texts(), digests):
+        out = serialize(compress(text, SymbolTable()))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_greedy_stops_at_score_bound(monkeypatch):
+    # Growing every repeated string of the periodic text to its full length
+    # takes 548 levels over its rounds.
+    calls = []
+    extend = compressors._extend
+
+    def counting(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(compressors, "_extend", counting)
+    text = _benchmark_texts()[2]
+    t1, t2 = SymbolTable(), SymbolTable()
+    got = greedy(text, t1)
+    assert len(calls) <= 100
+    assert serialize(got) == serialize(
+        run_global_reference(text, GlobalStrategy.GREEDY, t2))
+
+
+def _plain_pair_groups(concat):
+    """Every pair of non-negative ids with two non-overlapping occurrences,
+    as (positions, f), in order of first position."""
+    groups = {}
+    for p in range(len(concat) - 1):
+        if concat[p] >= 0 and concat[p + 1] >= 0:
+            groups.setdefault((concat[p], concat[p + 1]), []).append(p)
+    out = []
+    for positions in groups.values():
+        f, last = 0, -2
+        for p in positions:
+            if p >= last + 2:
+                f, last = f + 1, p
+        if f >= 2:
+            out.append((positions, f))
+    return out
+
+
+def test_pair_groups_match_plain_grouping():
+    a, b, c = 0, 1, 2
+    cases = [
+        [[a, a, a, a]],
+        [[a, b, a, b]],
+        [[a, a, a], [a, a, a, a, b, a, b, a, b], [b], [a, b, a, b], [a, a]],
+        [[a, a], [a], [a, a]],
+        [[a, b, c]],
+    ]
+    rng = random.Random(67)
+    for _ in range(300):
+        cases.append([[rng.randrange(rng.randint(1, 3)) for _ in range(rng.randint(0, 12))]
+                      for _ in range(rng.randint(1, 5))])
+    for bodies in cases:
+        concat = compressors._concat(bodies)
+        assert compressors._pair_groups(concat) == _plain_pair_groups(concat), bodies
 
 
 def test_sequential_examples(table):
