@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, pairwise
 
-from .core import SLG, GrammarError, expand_all
+from .core import SLG, GrammarError, _dyadic_split, _uses, expand_all
 from .symbols import Symbol, SymbolTable
 
 
@@ -413,20 +413,26 @@ def _replace_all(body: list[int], s: list[int], new_id: int) -> list[int]:
     return out
 
 
+def _step(heads: list[int], bodies: list[list[int]], s: list[int],
+          table: SymbolTable) -> None:
+    """One global step on the rules `zip(heads, bodies)`, in place: a new
+    rule `R -> s` after greedy replacement of all the non-overlapping
+    occurrences of `s` by `R`."""
+    fresh = table.fresh_nonterminal("R").id
+    bodies[:] = [_replace_all(b, s, fresh) for b in bodies]
+    heads.append(fresh)
+    bodies.append(s)
+
+
 def global_step(g: SLG, s) -> SLG:
     """One global-algorithm step: a new rule for `s` plus greedy replacement
     of all its non-overlapping occurrences."""
     s = _as_symbols(s, g.table)
     if len(s) < 2 or s not in maximal_strings(g):
         raise CompressorError("not a maximal string")
-    fresh = g.table.fresh_nonterminal("R").id
-    sid = [sym.id for sym in s]
-    rules = {
-        head.id: _replace_all([x.id for x in body], sid, fresh)
-        for head, body in g.rules.items()
-    }
-    rules[fresh] = sid
-    return _slg(rules, g.start.id, g.table)
+    heads, bodies = [head.id for head in g.rules], _rule_id_seqs(g)
+    _step(heads, bodies, [sym.id for sym in s], g.table)
+    return _slg(dict(zip(heads, bodies)), g.start.id, g.table)
 
 
 def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
@@ -436,11 +442,7 @@ def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
     heads = [table.fresh_nonterminal("S").id]
     hint = None
     while (sid := pick(bodies, hint)) is not None:
-        fresh = table.fresh_nonterminal("R").id
-        sid = list(sid)
-        bodies = [_replace_all(b, sid, fresh) for b in bodies]
-        heads.append(fresh)
-        bodies.append(sid)
+        _step(heads, bodies, list(sid), table)
         hint = len(sid)
     return _slg(dict(zip(heads, bodies)), heads[0], table)
 
@@ -649,9 +651,7 @@ def bisection(u, table: SymbolTable) -> SLG:
         have = memo.get(s)
         if have is not None:
             return have
-        k = 1
-        while k * 2 < len(s):
-            k *= 2
+        k = _dyadic_split(len(s))
         head = table.fresh_nonterminal("B").id
         memo[s] = head
         rules[head] = (node(s[:k]), node(s[k:]))
@@ -783,14 +783,9 @@ def is_irreducible(g: SLG) -> bool:
     if _pair_groups(_concat(_rule_id_seqs(g))):
         return False
 
-    uses = {head: 0 for head in g.rules}
-    for body in g.rules.values():
-        for s in body:
-            if s in uses:
-                uses[s] += 1
-    for head, count in uses.items():
-        if head != g.start and count < 2:
-            return False
+    uses = _uses(g)
+    if any(uses[head] < 2 for head in g.rules if head != g.start):
+        return False
 
     exps = expand_all(g)
     return len(set(exps.values())) == len(exps)

@@ -231,9 +231,16 @@ def is_admissible(g: SLG) -> bool:
     return len(reachable_nonterminals(g)) == len(g.rules)
 
 
+def _dyadic_split(n: int) -> int:
+    """The largest power of two below `n` (for n >= 2): the length of the
+    left half in Bisection's split of a string of length `n`."""
+    return 1 << (n - 1).bit_length() - 1
+
+
 def is_dyadic(g: SLG) -> bool:
-    """Admissible, and each left child expands to a power-of-two length
-    at least the right child's length."""
+    """Admissible, and each rule splits its expansion as Bisection does:
+    the left child expands to the largest power of two below the rule's
+    expansion length."""
     if not is_admissible(g):
         return False
     lens = g.expansion_lengths()
@@ -243,7 +250,7 @@ def is_dyadic(g: SLG) -> bool:
 
     for body in g.rules.values():
         left, right = ln(body[0]), ln(body[1])
-        if left & (left - 1) or left < right:
+        if left != _dyadic_split(left + right):
             return False
     return True
 

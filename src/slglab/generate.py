@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from .core import SLG, is_admissible
+from .core import SLG, _dyadic_split, is_admissible
 from .rna import MatchedAlphabet
 from .symbols import Symbol, SymbolTable
 
@@ -160,9 +160,7 @@ def random_dyadic_slg(
         known = memo.get(s)
         if known and rng.random() < 0.6:
             return rng.choice(known)
-        k = 1
-        while k * 2 < len(s):
-            k *= 2
+        k = _dyadic_split(len(s))
         head = table.fresh_nonterminal("Y")
         rules[head] = (node(s[:k]), node(s[k:]))
         memo.setdefault(s, []).append(head)

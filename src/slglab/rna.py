@@ -29,22 +29,6 @@ class RnaError(ValueError):
     pass
 
 
-def _check_pairs(symbols, match, weight) -> None:
-    """Refuse unless `match` pairs each of `symbols` with another of
-    `symbols`, both ways, and both have one nonnegative weight."""
-    members = set(symbols)
-    for a in symbols:
-        b = match.get(a)
-        if b is None or b == a or match.get(b) != a:
-            raise RnaError(f"match is not a fixed-point-free involution at {a.display}")
-        if b not in members:
-            raise RnaError(f"{a.display} is matched with {b.display}, outside the alphabet")
-        if weight.get(a) is None or weight[a] < 0:
-            raise RnaError(f"negative or missing weight for {a.display}")
-        if weight.get(b) != weight[a]:
-            raise RnaError(f"weights differ across match pair {a.display}")
-
-
 @dataclass(frozen=True)
 class MatchedAlphabet:
     """Alphabet with an involutive, fixed-point-free match and weights.
@@ -59,16 +43,29 @@ class MatchedAlphabet:
     weight: dict[Symbol, int]
 
     def __post_init__(self):
-        _check_pairs(self.symbols, self.match, self.weight)
+        """Refuse unless `match` pairs each symbol with another symbol,
+        both ways, and both have one nonnegative weight."""
+        match, weight = self.match, self.weight
+        members = set(self.symbols)
+        for a in self.symbols:
+            b = match.get(a)
+            if b is None or b == a or match.get(b) != a:
+                raise RnaError(f"match is not a fixed-point-free involution at {a.display}")
+            if b not in members:
+                raise RnaError(f"{a.display} is matched with {b.display}, outside the alphabet")
+            if weight.get(a) is None or weight[a] < 0:
+                raise RnaError(f"negative or missing weight for {a.display}")
+            if weight.get(b) != weight[a]:
+                raise RnaError(f"weights differ across match pair {a.display}")
 
     def covers(self, symbols) -> bool:
         have = set(self.symbols)
         return all(s in have for s in symbols)
 
     def extended(self, new_symbols, new_match, new_weight) -> "MatchedAlphabet":
-        """This alphabet plus the pairs of `new_symbols`.  Only the added
-        pairs are checked: each added symbol is new to the alphabet, and the
-        added match and weights bind added symbols only."""
+        """This alphabet plus the pairs of `new_symbols`.  Each added symbol
+        must be new to the alphabet, and the added match and weights must
+        bind added symbols only; the constructor then checks every pair."""
         new_symbols = tuple(new_symbols)
         added = set(new_symbols)
         have = set(self.symbols)
@@ -79,13 +76,9 @@ class MatchedAlphabet:
         for s in (*new_match, *new_weight):
             if s not in added:
                 raise RnaError(f"the added pairs bind {s.display}, which is not added")
-        _check_pairs(new_symbols, new_match, new_weight)
-        # Both parts are checked, so the whole is built without a re-check.
-        out = object.__new__(MatchedAlphabet)
-        object.__setattr__(out, "symbols", tuple(self.symbols) + new_symbols)
-        object.__setattr__(out, "match", {**self.match, **new_match})
-        object.__setattr__(out, "weight", {**self.weight, **new_weight})
-        return out
+        return MatchedAlphabet(tuple(self.symbols) + new_symbols,
+                               {**self.match, **new_match},
+                               {**self.weight, **new_weight})
 
     # text format: one line per pair, `a ~ b : w`
     def serialize(self) -> str:

@@ -542,67 +542,44 @@ def cyk_member_table(g, u, length_cap=5000):
     return start in cells[0][n - 1]
 
 
-def cfg_language_upto(g, max_len, budget=400_000):
-    """All members of L(g) up to the length bound, by pruned breadth-first
-    derivation search (an oracle independent of the CYK tables)."""
+def cfg_language_upto(g, max_len):
+    """All members of L(g) up to the length bound, built length by length
+    (an oracle independent of the CYK tables).  `lang[l][X]` holds the
+    words of length l that X derives.  A body's words of length l join
+    words of its symbols whose lengths sum to l.  A part of length l itself
+    (unit rules, cycles, nullable siblings) is read from `lang[l]` as it
+    grows, so each length is iterated to a fixpoint."""
     from slglab.cfg import CFG
 
     assert isinstance(g, CFG)
-    by_head = {}
-    for head, body in g.rules:
-        by_head.setdefault(head, []).append(body)
-    # minimal derivable length per nonterminal
-    min_len = {h: None for h in by_head}
-    changed = True
-    while changed:
-        changed = False
-        for head, bodies in by_head.items():
-            for body in bodies:
-                total = 0
-                ok = True
-                for s in body:
-                    if s.is_terminal():
-                        total += 1
-                    elif min_len[s] is None:
-                        ok = False
-                        break
-                    else:
-                        total += min_len[s]
-                if ok and (min_len[head] is None or total < min_len[head]):
-                    min_len[head] = total
-                    changed = True
+    lang = []
 
-    def lower_bound(form):
-        total = 0
-        for s in form:
-            if s.is_terminal():
-                total += 1
-            else:
-                if min_len[s] is None:
-                    return max_len + 1
-                total += min_len[s]
-        return total
+    def words(sym, n):
+        if sym.is_terminal():
+            return {(sym,)} if n == 1 else set()
+        return lang[n][sym]
 
-    results = set()
-    seen = {(g.start,)}
-    queue = [(g.start,)]
-    steps = 0
-    while queue:
-        steps += 1
-        assert steps < budget, "derivation oracle budget exceeded"
-        form = queue.pop()
-        idx = next((i for i, s in enumerate(form) if s.is_nonterminal()), None)
-        if idx is None:
-            results.add(form)
-            continue
-        for body in by_head[form[idx]]:
-            nxt = form[:idx] + tuple(body) + form[idx + 1 :]
-            if lower_bound(nxt) > max_len or len(nxt) > max_len + 12:
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return results
+    def body_words(body, n):
+        if not body:
+            return {()} if n == 0 else set()
+        out = set()
+        for k in range(n + 1):
+            if lefts := words(body[0], k):
+                rights = body_words(body[1:], n - k)
+                out |= {x + y for x in lefts for y in rights}
+        return out
+
+    for n in range(max_len + 1):
+        lang.append({head: set() for head, _ in g.rules})
+        grew = True
+        while grew:
+            grew = False
+            for head, body in g.rules:
+                new = body_words(body, n) - lang[n][head]
+                if new:
+                    lang[n][head] |= new
+                    grew = True
+    return {w for level in lang for w in level[g.start]}
 
 
 def all_strings_upto(alphabet, max_len):

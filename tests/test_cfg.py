@@ -261,14 +261,19 @@ def _shapes(g):
             150, 5, {"eps_bodies": 3, "cyclic": True, "max_body": 2}, 6000,
             {"epsilons", "unit cycle", "nullable pair"},
         ),
+        (
+            150, 6, {"eps_bodies": 3, "cyclic": True, "max_body": 3}, 14000,
+            {"epsilons", "unit cycle", "nullable pair", 3},
+        ),
     ],
-    ids=["one-epsilon", "nullable-cycles"],
+    ids=["one-epsilon", "nullable-cycles", "nullable-cycles-triples"],
 )
 def test_cyk_agrees_with_derivation_search(grammars, max_len, setting, min_checked, must_occur):
-    """The recogniser, the table CYK and derivation search agree on every
-    string up to `max_len`.  The first setting has at most one epsilon body
-    per grammar, unit rules and bodies of length 3; the second has several
-    epsilon bodies, unit cycles and pairs with a nullable side."""
+    """The recogniser, the table CYK and the language by length agree on
+    every string up to `max_len`.  The first setting has at most one
+    epsilon body per grammar, unit rules and bodies of length 3; the second
+    has several epsilon bodies, unit cycles and pairs with a nullable side;
+    the third adds bodies of length 3 to the second."""
     rng = random.Random(89)
     checked = 0
     shapes = set()

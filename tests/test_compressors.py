@@ -208,6 +208,52 @@ def test_run_global_matches_reference():
                 run_global_reference, make, strategy), (label, strategy)
 
 
+def _law_texts():
+    """Small seeded texts: random, periodic, and `alpha` strings of random
+    admissible grammars; each maker interns into the table given."""
+    rng = random.Random(73)
+    for _ in range(20):
+        n, sigma, seed = rng.randint(1, 120), rng.randint(1, 8), rng.random()
+        yield lambda t, n=n, sigma=sigma, seed=seed: random_string(
+            random.Random(seed), n, sigma, t)
+        period, n, seed = rng.randint(1, 9), rng.randint(1, 120), rng.random()
+        yield lambda t, period=period, n=n, seed=seed: (
+            random_string(random.Random(seed), period, 3, t) * (n // period + 1))[:n]
+
+        def boosted(t, seed=rng.random()):
+            r = random.Random(seed)
+            return alpha(random_admissible_slg(r, r.randint(1, 5), 3, 40, t)).text
+
+        yield boosted
+
+
+@pytest.mark.parametrize("strategy", list(GlobalStrategy), ids=lambda s: s.name.lower())
+def test_run_global_is_a_sequence_of_global_steps(monkeypatch, strategy):
+    """Every pick of `run_global` is a maximal string of the grammar so far:
+    replaying the picks with `global_step` from the single-rule grammar
+    rebuilds the same grammar and the same table."""
+    picks = []
+    pick = compressors._PICKS[strategy]
+
+    def recording(bodies, hint):
+        picks.append(pick(bodies, hint))
+        return picks[-1]
+
+    monkeypatch.setitem(compressors._PICKS, strategy, recording)
+    for make in _law_texts():
+        picks.clear()
+        t1, t2 = SymbolTable(), SymbolTable()
+        g = run_global(make(t1), strategy, t1)
+        u = make(t2)
+        h = SLG({(head := t2.fresh_nonterminal("S")): tuple(u)}, head, t2)
+        assert picks[-1] is None
+        for s in picks[:-1]:
+            h = global_step(h, [t2.by_id(x) for x in s])
+        assert serialize(h) == serialize(g)
+        assert list(t2._by_id.values()) == list(t1._by_id.values())
+    assert len(picks) > 1
+
+
 def test_repair_pairs_only_equals_repair():
     for label, make in _global_corpus():
         t1, t2 = SymbolTable(), SymbolTable()
@@ -488,6 +534,8 @@ def test_is_irreducible(table):
     assert is_irreducible(good)
     dup = SLG({s: (n, n), n: (a, b), m: (a, b)}, s, table)
     assert not is_irreducible(dup)  # duplicate expansion
+    single = SLG({s: (n, b), n: (a, b)}, s, table)
+    assert not is_irreducible(single)  # a secondary used once
     s2 = table.nonterminal("X4")
     assert not is_irreducible(SLG({s2: table.chars("abab")}, s2, table))
 

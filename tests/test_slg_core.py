@@ -13,6 +13,7 @@ import slglab
 from slglab import (
     SLG,
     GrammarError,
+    bisection,
     GrammarParseError,
     deserialize,
     expand,
@@ -25,7 +26,8 @@ from slglab import (
     serialize,
     stats,
 )
-from slglab.generate import random_admissible_slg, random_slg
+from slglab.core import _dyadic_split
+from slglab.generate import random_admissible_slg, random_dyadic_slg, random_slg
 from slglab.symbols import (
     SentinelFamily,
     SymbolError,
@@ -294,6 +296,35 @@ def test_is_dyadic(table, g0):
     assert not is_dyadic(lopsided)  # left length 1 < right length 2
     s3 = table.nonterminal("D3")
     assert not is_dyadic(SLG({s3: (a, b, a)}, s3, table))  # not admissible
+
+
+def test_dyadic_split_is_the_largest_power_of_two_below_the_length():
+    for n in range(2, 5001):
+        k = 1
+        while k * 2 < n:
+            k *= 2
+        assert _dyadic_split(n) == k, n
+
+
+def test_dyadic_draws_parses_and_verdicts_are_pinned():
+    # Seeded `random_dyadic_slg` draws, the Bisection parse of each
+    # expansion, and `is_dyadic` on both and on a random admissible grammar
+    # (most of which are not dyadic): the three users of the dyadic split.
+    rng = random.Random(71)
+    digest = hashlib.sha256()
+    verdicts = [0, 0]
+    for _ in range(200):
+        t = SymbolTable()
+        g = random_dyadic_slg(rng, rng.randint(2, 300), rng.randint(1, 4), t)
+        b = bisection(expand(g, g.start), t)
+        r = random_admissible_slg(rng, rng.randint(1, 8), 3, 60, t)
+        for x in (g, b, r):
+            verdicts[is_dyadic(x)] += 1
+            digest.update(f"{serialize(x)}{is_dyadic(x)}\n".encode())
+    assert verdicts[0] > 100 and verdicts[1] > 400
+    assert digest.hexdigest() == (
+        "caa0c708256afaf765268b7d9867341fad92988364023e6079c7f5074712473e"
+    )
 
 
 def test_serialize_roundtrip(table, g0):
