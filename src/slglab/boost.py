@@ -312,20 +312,30 @@ def _q_values(g: SLG, a: MatchedAlphabet):
     return {n: lens[n] - 1 + wsum[n] for n in g.rules}
 
 
+def _mirrored_parts(g: SLG, a: MatchedAlphabet, row):
+    """What `rna_alpha` (k = 2) and `rna_beta` (k = 4) share, for the k
+    hash families of `row`: the canonical order; the offset delta =
+    k|V|(k q_S + 1) + (k/2) q_S + k * (sum of q_X over X != S); `a` extended
+    by the dollars and the hash rows of `row`, matched with weight
+    k q_S + 1; and every expansion with its mirror."""
+    order = _folding_order(g, a, [D, DP, *row])
+    table = g.table
+    nv, k = len(order), len(row)
+    q = _q_values(g, a)
+    qs = q[g.start]
+    delta = k * nv * (k * qs + 1) + k // 2 * qs + k * sum(q[n] for n in order[:-1])
+    rows = [tuple(table.sentinel(f, i) for f in row) for i in range(1, 2 * nv + 1)]
+    extended = _extend(a, table, nv, rows, _hash_pairs(rows, k * qs + 1))
+    expa = _interleaved(g, order)
+    expp = {n: _mirror(e, extended.match) for n, e in expa.items()}
+    return order, delta, extended, expa, expp
+
+
 def rna_alpha(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Mirrored-and-matched alpha booster: the folding value of the output
     equals twice the input's plus a closed-form offset."""
-    order = _folding_order(g, a, [D, DP, H, HP])
-    table = g.table
-    nv = len(order)
-    q = _q_values(g, a)
-    qs = q[g.start]
-    delta = 2 * nv * (2 * qs + 1) + qs + 2 * sum(q[n] for n in order[:-1])
-    rows = [(table.sentinel(H, i), table.sentinel(HP, i)) for i in range(1, 2 * nv + 1)]
-    extended = _extend(a, table, nv, rows, _hash_pairs(rows, 2 * qs + 1))
-
-    expa = _interleaved(g, order)
-    expp = {n: _mirror(e, extended.match) for n, e in expa.items()}
+    order, delta, extended, expa, expp = _mirrored_parts(g, a, (H, HP))
+    table, nv = g.table, len(order)
     v = _doubled(expp, order, table, HP, range(nv, 0, -1), mirrored=True)
     v += _doubled(expa, order, table, H, range(1, nv + 1))
     return FoldingBoost(text=tuple(v), ordering=order, offset=delta, alphabet=extended)
@@ -334,20 +344,8 @@ def rna_alpha(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
 def rna_beta(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Four-quarter booster targeted at the online parser; the folding value
     equals four times the input's plus a closed-form offset."""
-    order = _folding_order(g, a, [D, DP, HL, HR, HPL, HPR])
-    table = g.table
-    nv = len(order)
-    q = _q_values(g, a)
-    qs = q[g.start]
-    delta = 4 * nv * (4 * qs + 1) + 2 * qs + 4 * sum(q[n] for n in order[:-1])
-    rows = [
-        tuple(table.sentinel(f, i) for f in (HL, HR, HPL, HPR))
-        for i in range(1, 2 * nv + 1)
-    ]
-    extended = _extend(a, table, nv, rows, _hash_pairs(rows, 4 * qs + 1))
-
-    expa = _interleaved(g, order)
-    expp = {n: _mirror(e, extended.match) for n, e in expa.items()}
+    order, delta, extended, expa, expp = _mirrored_parts(g, a, (HL, HR, HPL, HPR))
+    table, nv = g.table, len(order)
     forward, backward = range(1, nv + 1), range(nv, 0, -1)
     v = _doubled(expa, order, table, HL, forward)
     v += _doubled(expa, order, table, HR, backward)

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from itertools import count
 
 from .boost import alpha_sentinel_counts, beta_sentinel_counts
-from .core import SLG, _content_lines
+from .core import SLG, _content_lines, _terminals
 from .symbols import SentinelFamily, Symbol, SymbolTable
 
 DEFAULT_CYK_CAP = 5000
@@ -52,12 +52,7 @@ class CFG:
         return sum(len(body) for _, body in self.rules)
 
     def terminals(self) -> frozenset[Symbol]:
-        out = set()
-        for _, body in self.rules:
-            for s in body:
-                if s.is_terminal():
-                    out.add(s)
-        return frozenset(out)
+        return _terminals(body for _, body in self.rules)
 
     @cached_property
     def _compiled(self) -> _Compiled:
@@ -289,7 +284,10 @@ def language_upto(g: CFG, alphabet, max_len: int) -> set[tuple[int, ...]]:
     suffix's `_row` is computed once and shared by every word that ends
     with it.  A letter that is no terminal of g occurs in no word: such
     words are outside L(g), where `cyk_member` refuses them.  A `max_len`
-    above the default length cap raises `CfgError` as `cyk_member` does."""
+    above the default length cap raises `CfgError` as `cyk_member` does, and
+    so does a negative one: no word is that short, the empty one included."""
+    if max_len < 0:
+        raise CfgError("word length bound must be nonnegative")
     _check_length(max_len, DEFAULT_CYK_CAP)
     comp = g._compiled
     words = {()} if comp.nullable_start else set()

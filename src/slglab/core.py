@@ -154,15 +154,15 @@ class SLG:
         return sum(len(body) for body in self.rules.values())
 
     def terminals(self) -> frozenset[Symbol]:
-        out = set()
-        for body in self.rules.values():
-            for sym in body:
-                if sym.is_terminal():
-                    out.add(sym)
-        return frozenset(out)
+        return _terminals(self.rules.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SLG(start={self.start.display}, rules={len(self.rules)})"
+
+
+def _terminals(bodies) -> frozenset[Symbol]:
+    """The terminals that occur in `bodies`, of an SLG or a CFG."""
+    return frozenset(sym for body in bodies for sym in body if sym.is_terminal())
 
 
 def reachable_nonterminals(g: SLG) -> dict[Symbol, int]:

@@ -87,21 +87,6 @@ def random_admissible_slg(
     )
 
 
-def random_admissible_slg_with_expansion(
-    rng: random.Random,
-    max_total_expansion: int,
-    alphabet_size: int,
-    table: SymbolTable,
-) -> SLG:
-    """Admissible grammar whose total expansion stays under the given cap;
-    the nonterminal count is drawn to fit."""
-    hi = max(1, max_total_expansion // 7)
-    nv = rng.randint(1, hi)
-    return random_admissible_slg(
-        rng, nv, alphabet_size, max_total_expansion, table
-    )
-
-
 def random_slg(
     rng: random.Random,
     num_nonterminals: int,

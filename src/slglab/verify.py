@@ -287,13 +287,14 @@ def suite_cfg(seed: int, trials: int, max_nonterms: int) -> list[Verdict]:
 
 
 def _folded(s: _Suite, trials: int, cap: int, booster, min_rules: int = 1):
-    """Each trial's number, grammar under `cap` (redrawn at |V| = 2 below
-    `min_rules`), `booster` result on a fresh matched alphabet, total
-    expansion, and the folding values of the plain and boosted strings."""
+    """Each trial's number, grammar of 1 to cap // 7 rules under `cap`
+    (redrawn at |V| = 2 below `min_rules`), `booster` result on a fresh
+    matched alphabet, total expansion, and the folding values of the plain
+    and boosted strings."""
     for trial in range(1, trials + 1):
         table = SymbolTable()
         alphabet = gen.random_matched_alphabet(s.rng, s.rng.randint(2, 3), 4, table)
-        g = gen.random_admissible_slg_with_expansion(s.rng, cap, 2, table)
+        g = gen.random_admissible_slg(s.rng, s.rng.randint(1, max(1, cap // 7)), 2, cap, table)
         if len(g.rules) < min_rules:
             g = gen.random_admissible_slg(s.rng, 2, 2, cap, table)
         r = booster(g, alphabet)

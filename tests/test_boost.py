@@ -459,6 +459,31 @@ def test_rna_alpha_rejects_zero_weight(table, g0):
         rna_alpha(g0, alphabet)
 
 
+def test_mirrored_booster_outputs_are_pinned():
+    # rna_alpha and rna_beta over seeded grammars of 1 to 12 nonterminals
+    # and matched alphabets of 2 or 3 pairs: the text, the order, the
+    # offset and the extended alphabet of each result, or the message of
+    # each refusal (a third letter that a two-pair alphabet lacks).  A
+    # change that keeps every output keeps this digest.
+    rng = random.Random(251)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        t = SymbolTable()
+        alphabet = random_matched_alphabet(rng, rng.randint(2, 3), 4, t)
+        g = random_admissible_slg(rng, rng.randint(1, 12), rng.randint(2, 3), 200, t)
+        for build in (rna_alpha, rna_beta):
+            try:
+                r = build(g, alphabet)
+            except BoostError as e:
+                digest.update(f"refused: {e}\n".encode())
+                continue
+            for part in (r.text, r.ordering):
+                digest.update((" ".join(s.display for s in part) + "\n").encode())
+            digest.update(f"{r.offset}\n{r.alphabet.serialize()}".encode())
+    assert digest.hexdigest() == (
+        "4e501ab1f8080ab9890b8b9d31fd17ba10344d5de19a4f6cf19e6b3330446407")
+
+
 # -- answer strings -------------------------------------------------------------
 
 

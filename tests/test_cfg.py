@@ -142,6 +142,11 @@ def test_language_upto_edges(table):
         cyk_member(star, (a,) * over)
     # one letter: a walk as deep as the cap needs no recursion
     assert language_upto(one, (a,), DEFAULT_CYK_CAP) == _ids([(a,)])
+    # a negative bound is refused, though the start is nullable: the empty
+    # word is longer than it
+    for bound in (-1, -5):
+        with pytest.raises(CfgError, match="^word length bound must be nonnegative$"):
+            language_upto(_cfg(table, "S -> a S | _\n"), (a,), bound)
 
 
 def test_cyk_on_a_head_that_derives_every_span(table):
