@@ -7,7 +7,7 @@ symbols interned in that table; any other symbol is refused.  Every
 compressor reads its input through `_input_ids` and works on integer ids;
 `_slg` turns the finished id rules back into symbols once.
 
-Each global strategy picks its string directly, without listing the
+Each global strategy picks its strings directly, without listing the
 maximal strings.  Let f(s) be the greedy non-overlapping count of s over
 the rule bodies and M(L) the largest f among strings of length L.  M never
 increases with L, and a string s with f(s) >= 2 is maximal exactly when
@@ -24,6 +24,18 @@ the smaller id sequence:
   bodies, so its score is at most total - total / L - L.  That bound falls
   once L * L >= total, and the walk stops at the first such length whose
   bound is no better than the best score found.
+
+A pick returns a plateau: every string tied at the winning key, sorted by
+ids, and the count each must still reach.  `run_global` takes them in
+order.  One scan of the bodies finds each one's occurrences, which are
+replaced if there are still enough of them; otherwise the string is
+skipped.  The engine picks again only when the plateau is spent.  This is
+exact: after a replacement, every string at the plateau's key was already
+on the plateau, so the string the strategy would take next is the next
+one on it that still has its count.  `_pick_repair` and `_pick_longest`
+prove this for their keys.  Greedy's plateau is one string long: a string
+that holds the new nonterminal can outscore Greedy's runner-up, so Greedy
+picks again after every replacement.
 
 Sequential and Sequitur share one driver and Sequitur's three reductions
 (Nevill-Manning and Witten, JAIR 1997), applied to quiescence after each
@@ -166,11 +178,22 @@ def _nonoverlapping(body, s):
             i += 1
 
 
+def _pattern(s, table: SymbolTable) -> tuple[Symbol, ...] | None:
+    """The symbols of the pattern `s`, or None when `s` is a string with a
+    character that `table` lacks: such a pattern cannot occur.  Unlike an
+    input, a pattern interns nothing."""
+    if isinstance(s, str) and not all(map(table.get, s)):
+        return None
+    return _as_symbols(s, table)
+
+
 def count_nonoverlapping(s, g: SLG) -> int:
     """Greedy left-to-right non-overlapping occurrences of `s` on the
     right-hand sides of `g`."""
-    s = _as_symbols(s, g.table)
-    if len(s) < 1:
+    s = _pattern(s, g.table)
+    if s is None:
+        return 0
+    if not s:
         raise CompressorError("pattern must be nonempty")
     return sum(1 for body in g.rules.values() for _ in _nonoverlapping(body, s))
 
@@ -234,9 +257,9 @@ def _levels(concat: list[int], groups, least: int):
         length += 1
 
 
-def _smallest(concat: list[int], groups, length: int) -> tuple[int, ...]:
-    """The smallest by ids among the strings of the groups."""
-    return min(tuple(concat[ps[0] : ps[0] + length]) for ps, _ in groups)
+def _plateau(concat: list[int], starts, length: int) -> list[tuple[int, ...]]:
+    """The strings of `length` at `starts`, sorted by ids."""
+    return sorted(tuple(concat[p : p + length]) for p in starts)
 
 
 def maximal_strings(g: SLG) -> set[tuple[Symbol, ...]]:
@@ -283,11 +306,30 @@ class GlobalStrategy(Enum):
     LONGEST_MATCH = "longest"
 
 
-def _pick_repair(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
-    """The most frequent maximal string.  F = M(2) is the largest count of
+# A pick returns None when no string repeats, and otherwise a plateau:
+# the strings tied at the strategy's key, sorted by ids, and the count each
+# must still have when `run_global` comes to it.
+Plateau = tuple[list[tuple[int, ...]], int]
+
+
+def _pick_repair(bodies: list[list[int]], bound: int | None) -> Plateau | None:
+    """The most frequent maximal strings.  F = M(2) is the largest count of
     any string, and a string of count F is maximal exactly when no string
     one longer has count F: it is a longest string of count F.  Its
-    prefixes all have count F, so only groups of count F are grown."""
+    prefixes all have count F, so only groups of count F are grown.
+
+    The plateau is every string of count F and that longest length L.
+    Replacing one of them, s, by R gives count F to no string off the
+    plateau.  Take a string t of count F afterwards.  If t holds R, its F
+    occurrences expand to F non-overlapping occurrences, before the
+    replacement, of a string that holds s x, x s or s s.  Each of these is
+    longer than s, which contradicts M(L + 1) < F.  A substring w of s had
+    count F, and all F of its occurrences lay inside the F replaced
+    occurrences of s: one apart from them would raise its count above F.
+    So w is left with at most its one occurrence in R's body.  Any other
+    string without R only loses occurrences.  So t is a plateau string
+    that kept count F, the next most frequent maximal string is the next
+    such string by ids, and when none is left M(2) < F."""
     concat = _concat(bodies)
     groups = _pair_groups(concat)
     if not groups:
@@ -296,14 +338,16 @@ def _pick_repair(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
     groups = [grp for grp in groups if grp[1] == top]
     for length, groups in _levels(concat, groups, top):
         pass
-    return _smallest(concat, groups, length)
+    return _plateau(concat, [ps[0] for ps, _ in groups], length), top
 
 
-def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
-    """The maximal string of largest f(L - 1) - L.  A string s that is not
-    maximal has an extension t with f(t) >= f(s), which scores at least
-    f(s) - 1 > 0 more, so the largest score over all repeated strings is
-    only reached by maximal ones.
+def _pick_greedy(bodies: list[list[int]], bound: int | None) -> Plateau | None:
+    """The maximal string of largest f(L - 1) - L, on a plateau of its own:
+    once it is replaced, a string that holds its new nonterminal can
+    outscore the runner-up.  A string s that is not maximal has an
+    extension t with f(t) >= f(s), which scores at least f(s) - 1 > 0
+    more, so the largest score over all repeated strings is only reached
+    by maximal ones.
 
     The level walk stops once no longer string can beat the best score.
     Let `total` be the number of ids in the bodies.  A string of length L
@@ -321,31 +365,38 @@ def _pick_greedy(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] |
         gain = top * (length - 1) - length
         if best is None or gain > best:
             best = gain
-            pick = _smallest(concat, [grp for grp in groups if grp[1] == top], length)
+            tied = [ps[0] for ps, f in groups if f == top]
+            pick = _plateau(concat, tied, length)[:1], top
         nxt = length + 1
         if nxt * nxt >= total and total * (nxt - 1) - nxt * nxt <= best * nxt:
             break
     return pick
 
 
-def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] | None:
-    """The longest string with two non-overlapping occurrences.
+def _pick_longest(bodies: list[list[int]], bound: int | None) -> Plateau | None:
+    """The longest strings with two non-overlapping occurrences.
 
     A string of length L has two exactly when its last start minus its
     first is at least L.  If some string of length L + 1 passes, so does its
-    prefix, so a galloping search over L is exact.  `hint`, the length of
-    the last round's pick, bounds the answer.  Take two non-overlapping
-    occurrences of a string t after that round.  If both lie in the new
-    rule's body, 2|t| <= hint.  Otherwise expanding the new nonterminal
-    maps them to two non-overlapping occurrences of a string at least as
-    long as t before the round, and longer than hint if t holds the new
-    nonterminal.
+    prefix, so a galloping search over L is exact.  `bound`, when given,
+    bounds the answer.
+
+    The plateau is every string of that length L with two occurrences.
+    Replacing one of them, s, by R leaves no other string of length L or
+    more with two, apart from the rest of the plateau.  Take two
+    non-overlapping occurrences of a string t afterwards.  If both lie in
+    R's body, 2|t| <= L.  Otherwise expanding R maps them to two
+    non-overlapping occurrences of a string at least as long as t before,
+    and longer than L if t holds R.  The one new window of length L is
+    R's body, s itself, and every other occurrence of s overlapped a
+    replaced one.  So once the plateau is spent the answer is at most
+    L - 1, and `run_global` passes that bound to the next pick.
     """
     # Two occurrences fit in one body of length 2L or in two of length L.
     lens = sorted(map(len, bodies), reverse=True) + [0]
     limit = max(lens[0] // 2, lens[1])
-    if hint is not None:
-        limit = min(limit, hint)
+    if bound is not None:
+        limit = min(limit, bound)
     if limit < 2:
         return None
     concat = _concat(bodies)
@@ -367,7 +418,7 @@ def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] 
     # Gallop from the start until the test flips, then bisect.  A string of
     # length lo passes and none of length hi does.
     lo, hi, best = 1, limit + 1, None
-    length, step = (2, 1) if hint is None else (limit, -1)
+    length, step = (2, 1) if bound is None else (limit, -1)
     while lo < length < hi:
         found = repeated(length)
         if found:
@@ -387,7 +438,7 @@ def _pick_longest(bodies: list[list[int]], hint: int | None) -> tuple[int, ...] 
             hi = mid
     if best is None:
         return None
-    return min(tuple(concat[p : p + lo]) for p in best)
+    return _plateau(concat, best, lo), 2
 
 
 _PICKS = {
@@ -398,52 +449,58 @@ _PICKS = {
 }
 
 
-def _replace_all(body: list[int], s: list[int], new_id: int) -> list[int]:
-    """`body` with the greedy left-to-right non-overlapping occurrences of
-    `s` replaced by `new_id`; `body` itself when it lacks `s[0]`."""
-    if s[0] not in body:
-        return body
-    out: list[int] = []
-    i = 0
-    for p in _nonoverlapping(body, s):
-        out += body[i:p]
-        out.append(new_id)
-        i = p + len(s)
-    out += body[i:]
-    return out
-
-
-def _step(heads: list[int], bodies: list[list[int]], s: list[int],
-          table: SymbolTable) -> None:
-    """One global step on the rules `zip(heads, bodies)`, in place: a new
-    rule `R -> s` after greedy replacement of all the non-overlapping
-    occurrences of `s` by `R`."""
+def _take(heads: list[int], bodies: list[list[int]], s: Sequence[int], want: int,
+          table: SymbolTable) -> bool:
+    """One global step on the rules `zip(heads, bodies)`, in place, if `s`
+    has at least `want` greedy left-to-right non-overlapping occurrences in
+    the bodies: a new rule `R -> s` after replacing them all by `R`.  True
+    if it took `s`."""
+    s = list(s)
+    first, m = s[0], len(s)
+    hits = [(i, starts) for i, body in enumerate(bodies)
+            if first in body and (starts := list(_nonoverlapping(body, s)))]
+    if sum(len(starts) for _, starts in hits) < want:
+        return False
     fresh = table.fresh_nonterminal("R").id
-    bodies[:] = [_replace_all(b, s, fresh) for b in bodies]
+    for i, starts in hits:
+        body, out, j = bodies[i], [], 0
+        for p in starts:
+            out += body[j:p]
+            out.append(fresh)
+            j = p + m
+        out += body[j:]
+        bodies[i] = out
     heads.append(fresh)
     bodies.append(s)
+    return True
 
 
 def global_step(g: SLG, s) -> SLG:
     """One global-algorithm step: a new rule for `s` plus greedy replacement
     of all its non-overlapping occurrences."""
-    s = _as_symbols(s, g.table)
-    if len(s) < 2 or s not in maximal_strings(g):
+    s = _pattern(s, g.table)
+    if s is None or len(s) < 2 or s not in maximal_strings(g):
         raise CompressorError("not a maximal string")
     heads, bodies = [head.id for head in g.rules], _rule_id_seqs(g)
-    _step(heads, bodies, [sym.id for sym in s], g.table)
+    # A maximal string has at least two occurrences.
+    _take(heads, bodies, [sym.id for sym in s], 2, g.table)
     return _slg(dict(zip(heads, bodies)), g.start.id, g.table)
 
 
 def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
-    """Iterate maximal-string replacement from the single-rule grammar."""
+    """Iterate maximal-string replacement from the single-rule grammar,
+    taking each pick's plateau in order and picking again once it is
+    spent."""
     pick = _PICKS[strategy]
     bodies = [list(_input_ids(u, table))]
     heads = [table.fresh_nonterminal("S").id]
-    hint = None
-    while (sid := pick(bodies, hint)) is not None:
-        _step(heads, bodies, list(sid), table)
-        hint = len(sid)
+    bound = None
+    while (plateau := pick(bodies, bound)) is not None:
+        strings, want = plateau
+        for s in strings:
+            _take(heads, bodies, s, want, table)
+        # Only LongestMatch reads it: no string of the spent length repeats.
+        bound = len(strings[0]) - 1
     return _slg(dict(zip(heads, bodies)), heads[0], table)
 
 

@@ -145,6 +145,15 @@ def test_global_step_examples(table):
         global_step(_single_rule(table, "abab"), "ba")
 
 
+def test_refused_patterns_intern_nothing(table):
+    g = repair("abab", table)
+    before = interned(table)
+    with pytest.raises(CompressorError, match="not a maximal string"):
+        global_step(g, "zq")
+    assert count_nonoverlapping("xy", g) == 0
+    assert interned(table) == before
+
+
 def test_run_global_small(table):
     for strategy in GlobalStrategy:
         assert run_global("ab", strategy, table).size == 2
@@ -229,29 +238,31 @@ def _law_texts():
 
 @pytest.mark.parametrize("strategy", list(GlobalStrategy), ids=lambda s: s.name.lower())
 def test_run_global_is_a_sequence_of_global_steps(monkeypatch, strategy):
-    """Every pick of `run_global` is a maximal string of the grammar so far:
-    replaying the picks with `global_step` from the single-rule grammar
-    rebuilds the same grammar and the same table."""
-    picks = []
-    pick = compressors._PICKS[strategy]
+    """Every string `run_global` replaces is a maximal string of the grammar
+    so far: replaying the replaced strings with `global_step` from the
+    single-rule grammar rebuilds the same grammar and the same table."""
+    taken = []
+    take = compressors._take
 
-    def recording(bodies, hint):
-        picks.append(pick(bodies, hint))
-        return picks[-1]
+    def recording(heads, bodies, s, want, table):
+        if took := take(heads, bodies, s, want, table):
+            taken.append(tuple(s))
+        return took
 
-    monkeypatch.setitem(compressors._PICKS, strategy, recording)
+    monkeypatch.setattr(compressors, "_take", recording)
     for make in _law_texts():
-        picks.clear()
+        taken.clear()
         t1, t2 = SymbolTable(), SymbolTable()
         g = run_global(make(t1), strategy, t1)
+        steps = list(taken)
         u = make(t2)
         h = SLG({(head := t2.fresh_nonterminal("S")): tuple(u)}, head, t2)
-        assert picks[-1] is None
-        for s in picks[:-1]:
+        for s in steps:
             h = global_step(h, [t2.by_id(x) for x in s])
         assert serialize(h) == serialize(g)
         assert list(t2._by_id.values()) == list(t1._by_id.values())
-    assert len(picks) > 1
+        assert not maximal_strings(g)
+    assert len(steps) > 1
 
 
 def test_repair_pairs_only_equals_repair():
@@ -324,6 +335,47 @@ def test_greedy_stops_at_score_bound(monkeypatch):
     assert len(calls) <= 100
     assert serialize(got) == serialize(
         run_global_reference(text, GlobalStrategy.GREEDY, t2))
+
+
+# Texts on which RePair and LongestMatch skip a plateau string: a string
+# tied with an earlier one of its plateau lost its count to that one's
+# replacement (on "ababa", "ab" leaves no "ba").  Found by a seeded search
+# over short texts.
+_SKIP_TEXTS = ("ababa", "acbcbcac", "aabaabaa", "cabcabca")
+
+
+@pytest.mark.parametrize("strategy", [GlobalStrategy.REPAIR, GlobalStrategy.LONGEST_MATCH],
+                         ids=["repair", "longest"])
+def test_plateau_skips_strings_an_earlier_one_spent(monkeypatch, strategy):
+    skipped = []
+    take = compressors._take
+
+    def counting(heads, bodies, s, want, table):
+        if not (took := take(heads, bodies, s, want, table)):
+            skipped.append(s)
+        return took
+
+    monkeypatch.setattr(compressors, "_take", counting)
+    for text in _SKIP_TEXTS:
+        skipped.clear()
+        t1, t2 = SymbolTable(), SymbolTable()
+        got = run_global(text, strategy, t1)
+        assert skipped, text
+        assert serialize(got) == serialize(run_global_reference(text, strategy, t2)), text
+        assert interned(t1) == interned(t2), text
+
+
+@pytest.mark.parametrize("compress, digest", [
+    (repair, "13060553282f0bc9a374a3343884bd99157149a96f484238c5093bc38f32ce0a"),
+    (longest_match, "ebcda878efcd849c5ebc6b7b82bd39534b510e41b99bd5faa2ecb5e9ba591a9c"),
+], ids=["repair", "longest"])
+def test_global_outputs_on_boosted_answer_string_are_pinned(compress, digest):
+    """The paper's reduction at m = 16: both reach 7|V| on the alpha string
+    of 6,032 symbols, where plateaus are long."""
+    g, text = _boosted_answer_string(16)
+    out = compress(text, g.table)
+    assert out.size == 7 * len(g.rules) == 490
+    assert hashlib.sha256(serialize(out).encode()).hexdigest() == digest
 
 
 def _plain_pair_groups(concat):
