@@ -98,28 +98,30 @@ def _require_admissible(g: SLG) -> None:
         raise BoostError("grammar is not admissible")
 
 
-def _require_fresh_sentinels(symbols, families, source="grammar alphabet") -> None:
-    for fam in families:
-        for t in symbols:
-            if t.display.startswith(fam.prefix):
-                raise BoostError(f"{source} collides with sentinel family {fam.prefix!r}")
-
-
 def _checked_order(g: SLG, families, a: MatchedAlphabet | None = None):
     """Refuse a grammar that is not admissible or whose terminals use a
     sentinel prefix of `families`, and a matched alphabet `a` that does not
-    fit it; return the canonical order."""
+    fit it; return the canonical order.
+
+    The order ends on the start, as the folding boosters need: in an
+    admissible grammar every other nonterminal expands to a proper part of
+    the start's expansion.
+    """
     _require_admissible(g)
+    terms = g.terminals()
+    sources = [("grammar alphabet", terms)]
     if a is not None:
-        if not a.covers(g.terminals()):
+        if not a.covers(terms):
             raise BoostError("matched alphabet does not cover the grammar terminals")
         if any(a.weight[s] < 1 for s in a.symbols):
             raise BoostError("weights must be positive")
-    _require_fresh_sentinels(g.terminals(), families)
-    if a is not None:
         # The booster extends the alphabet with these families; a user pair
         # of theirs would be silently re-matched or re-weighted.
-        _require_fresh_sentinels(a.symbols, families, "matched alphabet")
+        sources.append(("matched alphabet", a.symbols))
+    for source, symbols in sources:
+        for fam in families:
+            if any(t.display.startswith(fam.prefix) for t in symbols):
+                raise BoostError(f"{source} collides with sentinel family {fam.prefix!r}")
     return canonical_order(g)
 
 
@@ -200,7 +202,10 @@ def _bexp_all(g: SLG, index_set):
     for i in index_set:
         if not 1 <= i <= nv:
             raise BoostError(f"index {i} out of range")
-    _require_marker_names_free(g, nv)
+    taken = {n.display for n in g.rules}
+    clash = [f"M{i}" for i in range(1, nv + 1) if f"M{i}" in taken]
+    if clash:
+        raise BoostError(f"grammar uses reserved marker names: {clash}")
     return order, index_set, _interleaved(g, order, marked=index_set)
 
 
@@ -215,13 +220,6 @@ def bexp(g: SLG, index_set, x: Symbol) -> tuple[Symbol, ...]:
 
 def _marker(table: SymbolTable, i: int) -> Symbol:
     return table.nonterminal(f"M{i}")
-
-
-def _require_marker_names_free(g: SLG, nv: int) -> None:
-    taken = {n.display for n in g.rules}
-    clash = [f"M{i}" for i in range(1, nv + 1) if f"M{i}" in taken]
-    if clash:
-        raise BoostError(f"grammar uses reserved marker names: {clash}")
 
 
 def build_gi(g: SLG, index_set) -> GIGrammar:
@@ -267,14 +265,6 @@ def beta(g: SLG) -> BetaBoost:
 # Folding-weighted boosters
 
 
-def _folding_order(g: SLG, a: MatchedAlphabet, families) -> tuple[Symbol, ...]:
-    """The checks the folding boosters share; returns the canonical order."""
-    order = _checked_order(g, families, a)
-    if order[-1] != g.start:
-        raise BoostError("start must be the unique longest nonterminal")
-    return order
-
-
 def _extend(a: MatchedAlphabet, table: SymbolTable, dollars: int, rows, pairs):
     """`a` plus $_1, $'_1, ..., $_k, $'_k for k = `dollars` ($_i ~ $'_i, of
     weight one), then the hash sentinels of `rows` row by row, matched and
@@ -318,7 +308,7 @@ def _mirrored_parts(g: SLG, a: MatchedAlphabet, row):
     k|V|(k q_S + 1) + (k/2) q_S + k * (sum of q_X over X != S); `a` extended
     by the dollars and the hash rows of `row`, matched with weight
     k q_S + 1; and every expansion with its mirror."""
-    order = _folding_order(g, a, [D, DP, *row])
+    order = _checked_order(g, [D, DP, *row], a)
     table = g.table
     nv, k = len(order), len(row)
     q = _q_values(g, a)
@@ -357,7 +347,7 @@ def rna_beta(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
 def gamma(g: SLG, a: MatchedAlphabet) -> FoldingBoost:
     """Doubled-block booster aimed at the two-part dictionary parser; the
     folding value of the output is the input's plus twice the block weight."""
-    order = _folding_order(g, a, [D, DP, H])
+    order = _checked_order(g, [D, DP, H], a)
     nv = len(order)
     if nv < 2:
         raise BoostError("construction needs at least two nonterminals")

@@ -130,14 +130,6 @@ def _load_points(path: str):
     return boost.PointSet.normalized(m, points)
 
 
-def _boost_text(result: boost.BoostResult, raw: bool) -> str:
-    if raw:
-        if any(len(s.display) != 1 for s in result.text):
-            raise CliError("--raw needs every symbol to render as one byte")
-        return "".join(s.display for s in result.text) + "\n"
-    return " ".join(s.display for s in result.text) + "\n"
-
-
 def cmd_boost(args) -> int:
     table = SymbolTable()
     meta_lines = [f"kind={args.kind}"]
@@ -164,7 +156,7 @@ def cmd_boost(args) -> int:
     else:
         result = booster(g)
 
-    _write_output(f"{args.out}.text", _boost_text(result, args.raw))
+    _write_output(f"{args.out}.text", " ".join(s.display for s in result.text) + "\n")
     meta_lines.append(f"len={len(result.text)}")
     if offset_name is not None:
         meta_lines.append(f"{offset_name}={result.offset}")
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default=None, help="point set file")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--admissify", action="store_true")
-    p.add_argument("--raw", action="store_true", help="write bytes, not tokens")
     p.set_defaults(func=cmd_boost)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")

@@ -261,6 +261,10 @@ def make_admissible(g: SLG) -> SLG:
     Empty-expanding nonterminals are dropped from all definitions, the rule
     graph is pruned of single-successor vertices (inlining them), and every
     surviving definition is binarized by repeated left-to-right pairing.
+
+    Past the length check the start's redirect chain ends in `bodies`: each
+    link expands to the start's expansion, which no terminal does, and the
+    chain stops at a nonterminal whose body keeps two symbols or more.
     """
     lens = g.expansion_lengths()
     if lens[g.start] < 2:
@@ -291,9 +295,6 @@ def make_admissible(g: SLG) -> SLG:
             del bodies[head]
 
     start = redirect.get(g.start, g.start)
-    if start.is_terminal() or start not in bodies:
-        raise GrammarError("expansion too short")
-
     table = g.table
     out: dict[Symbol, tuple[Symbol, ...]] = {}
     for head, body in bodies.items():

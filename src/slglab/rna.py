@@ -131,23 +131,22 @@ class FoldResult:
     pairs: tuple[tuple[int, int], ...] | None = None
 
     def validate(self, u, alphabet: MatchedAlphabet) -> bool:
-        """Witness pairs match, do not cross, and sum to the value."""
+        """Witness pairs match, do not cross, and sum to the value.  Taken by
+        start, a pair must end inside the innermost open pair: ending at or
+        past that pair's end crosses it, shares an endpoint or repeats it."""
         if self.pairs is None:
             return True
         total = 0
-        for i, j in self.pairs:
-            if not (1 <= i < j <= len(u)):
+        open_ends: list[int] = []
+        for i, j in sorted(self.pairs):
+            if not (1 <= i < j <= len(u)) or alphabet.match[u[i - 1]] != u[j - 1]:
                 return False
-            if alphabet.match[u[i - 1]] != u[j - 1]:
+            while open_ends and open_ends[-1] < i:
+                open_ends.pop()
+            if open_ends and open_ends[-1] <= j:
                 return False
+            open_ends.append(j)
             total += alphabet.weight[u[i - 1]]
-        for a in range(len(self.pairs)):
-            for b in range(a + 1, len(self.pairs)):
-                (i, j), (k, l) = self.pairs[a], self.pairs[b]
-                disjoint = j < k or l < i
-                nested = (i < k and l < j) or (k < i and j < l)
-                if not (disjoint or nested):
-                    return False
         return total == self.value
 
 

@@ -33,6 +33,7 @@ from slglab import (
     lz78,
     lz78_hard_string,
     lzd,
+    make_admissible,
     rna_alpha,
     rna_beta,
     run_global,
@@ -41,11 +42,13 @@ from slglab import (
     stats,
     GlobalStrategy,
 )
+from slglab.boost import alpha_sentinel_counts, beta_sentinel_counts
 from slglab.generate import (
     random_admissible_slg,
     random_matched_alphabet,
     random_point_set,
     random_run_length_profile,
+    random_slg,
 )
 from slglab.rna import wrna
 from slglab.symbols import SentinelFamily, SymbolTable, parse_sentinel_display
@@ -229,6 +232,23 @@ def test_boosters_add_no_nonterminal_to_the_callers_table():
 def test_bexp_index_out_of_range(table, g0):
     with pytest.raises(BoostError, match="out of range"):
         bexp(g0, frozenset({3}), g0.start)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: bexp(g, frozenset(), g.table.nonterminal("Z")), "symbol not in grammar: Z"),
+    (lambda g: PointSet(3, frozenset({(1, 1), (2, 2), (3, 3)})),
+     "grid side must be a power of two (>= 2)"),
+    (lambda g: PointSet(2, frozenset({(1, 1), (3, 2)})), "point (3, 2) outside the grid"),
+    (lambda g: lz78_hard_string([]), "need at least one entry"),
+    (lambda g: lz78_hard_string([(0, "0"), (4, "1")], 4),
+     "positions must lie below the universe size"),
+    (lambda g: lz78_hard_string([(0, "0"), (1, "2")]), "colors must be '0' or '1'"),
+], ids=["bexp-foreign-symbol", "side-not-power-of-two", "point-off-grid",
+        "no-entries", "past-universe", "bad-color"])
+def test_boost_refusals(g0, call, message):
+    with pytest.raises(BoostError) as e:
+        call(g0)
+    assert type(e.value) is BoostError and str(e.value) == message
 
 
 def test_build_gi_expands_to_boosted_text():
@@ -482,6 +502,99 @@ def test_mirrored_booster_outputs_are_pinned():
             digest.update(f"{r.offset}\n{r.alphabet.serialize()}".encode())
     assert digest.hexdigest() == (
         "4e501ab1f8080ab9890b8b9d31fd17ba10344d5de19a4f6cf19e6b3330446407")
+
+
+# Terminals that share a prefix with a sentinel family without naming one of
+# its sentinels, and two that are sentinels.
+_SENTINEL_LOOKALIKES = ["$_x", "#'R_w", "$'_y", "#L_z", "$_1", "#_2"]
+
+
+def _faulty_case(rng):
+    """A grammar and the (symbol, partner, weight) pairs of a matched
+    alphabet, each with some of the faults the boosters refuse, an index set
+    that may hold 0 or |V| + 1, and a symbol to expand."""
+    t = SymbolTable()
+    if rng.random() < 0.6:
+        g = random_admissible_slg(rng, rng.randint(1, 6), rng.randint(2, 3), 200, t)
+    else:
+        g = random_slg(rng, rng.randint(1, 4), rng.randint(2, 3), t)
+    rename = {}
+    if rng.random() < 0.3:
+        rename[t.terminal("a")] = t.terminal(rng.choice(_SENTINEL_LOOKALIKES))
+    if rng.random() < 0.3:
+        rename[rng.choice(list(g.rules))] = t.nonterminal("M1")
+    if rename:
+        g = SLG({rename.get(h, h): tuple(rename.get(s, s) for s in body)
+                 for h, body in g.rules.items()}, rename.get(g.start, g.start), t)
+    pairs = [(t.terminal(x), t.terminal(x + "~"), rng.randint(1, 3))
+             for x in "abc"[:rng.randint(1, 3)]]
+    if rng.random() < 0.3:
+        # cover the grammar's other terminals, sentinel lookalikes included
+        have = {s for p in pairs for s in p[:2]}
+        pairs += [(s, t.terminal(s.display + "~"), 1)
+                  for s in sorted(g.terminals(), key=lambda s: s.display) if s not in have]
+    if rng.random() < 0.2:
+        pairs[0] = pairs[0][:2] + (0,)
+    if rng.random() < 0.2:
+        pairs.append((t.sentinel(SentinelFamily.DOLLAR, 1),
+                      t.sentinel(SentinelFamily.DOLLAR_PRIME, 1), 1))
+    nv = len(g.rules)
+    index_set = frozenset(i for i in range(nv + 2) if rng.random() < 0.3)
+    x = rng.choice([*g.rules, *sorted(g.terminals(), key=lambda s: s.display),
+                    t.nonterminal("Z")])
+    return g, pairs, index_set, x
+
+
+def _shown(symbols):
+    return " ".join(s.display for s in symbols)
+
+
+def _boosted(r):
+    alphabet = r.alphabet.serialize() if isinstance(r, FoldingBoost) else _shown(r.alphabet)
+    layout = r.position_map if isinstance(r, BetaBoost) else r.offset
+    return f"{_shown(r.text)} | {_shown(r.ordering)} | {layout} | {alphabet}"
+
+
+def test_booster_refusals_are_pinned():
+    # Seeded draws with several faults at once: sentinel lookalike terminals,
+    # a nonterminal named M1, zero weights, a sentinel pair in the matched
+    # alphabet, grammars that are not admissible, and index sets holding 0
+    # or |V| + 1.  Each call's output, or the class and message of its
+    # refusal, goes into the digest, so it pins which check fires first.
+    def run(name, call, show):
+        try:
+            out = call()
+        except ValueError as e:
+            digest.update(f"{name} refused: {type(e).__name__}: {e}\n".encode())
+            return None
+        digest.update(f"{name}: {show(out)}\n".encode())
+        return out
+
+    rng = random.Random(2307)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        g, pairs, index_set, x = _faulty_case(rng)
+        alphabet = run("alphabet", lambda: MatchedAlphabet(
+            tuple(s for p in pairs for s in p[:2]),
+            {**{a: b for a, b, _ in pairs}, **{b: a for a, b, _ in pairs}},
+            {s: w for a, b, w in pairs for s in (a, b)}), MatchedAlphabet.serialize)
+        grammars = [g]
+        if not is_admissible(g):
+            fixed = run("make_admissible", lambda: make_admissible(g), serialize)
+            if fixed is not None:
+                grammars.append(fixed)
+        for h in grammars:
+            for build in (alpha, beta):
+                run(build.__name__, lambda: build(h), _boosted)
+            for build in (gamma, rna_alpha, rna_beta) if alphabet else ():
+                run(build.__name__, lambda: build(h, alphabet), _boosted)
+            run("bexp", lambda: bexp(h, index_set, x), _shown)
+            run("build_gi", lambda: build_gi(h, index_set),
+                lambda r: f"{sorted(r.index_set)} | {serialize(r.grammar)}")
+            run("alpha_counts", lambda: alpha_sentinel_counts(h), str)
+            run("beta_counts", lambda: beta_sentinel_counts(h), str)
+    assert digest.hexdigest() == (
+        "0c1e79106571bba9194e2ae8260b377f56a8f8f8c7add7c993e68de8ee029a67")
 
 
 # -- answer strings -------------------------------------------------------------

@@ -36,6 +36,31 @@ def _cfg(table, text):
     return parse_cfg(text, table)
 
 
+def _start_rule(t, body="a"):
+    return (t.nonterminal("S"), tuple(map(t.terminal, body)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: CFG((_start_rule(t),), t.terminal("a")), "start symbol must be a nonterminal"),
+    (lambda t: CFG((_start_rule(t),), t.nonterminal("T")), "start symbol has no rule"),
+    (lambda t: CFG((_start_rule(t), (t.terminal("a"), ())), t.nonterminal("S")),
+     "rule head a is not a nonterminal"),
+    (lambda t: CFG(((t.nonterminal("S"), (t.nonterminal("T"),)),), t.nonterminal("S")),
+     "nonterminal T has no rule"),
+    (lambda t: parse_cfg("S a b\n", t), "line 1: missing '->'"),
+    (lambda t: parse_cfg("# heads\nS T -> a\n", t), "line 2: bad head 'S T'"),
+    (lambda t: parse_cfg("# nothing\n", t), "no rules"),
+    (lambda t: interleave(parse_cfg("S -> a", t), 0, -1, t), "sentinel budget must be nonnegative"),
+    (lambda t: erase_closure(parse_cfg("S -> a $_1", t), [t.sentinel(SentinelFamily.DOLLAR, 1)], t),
+     "sentinel set overlaps the grammar alphabet"),
+], ids=["start-terminal", "start-no-rule", "terminal-head", "body-no-rule", "no-arrow",
+        "bad-head", "no-rules", "negative-budget", "erase-overlap"])
+def test_cfg_refusals(table, call, message):
+    with pytest.raises(CfgError) as e:
+        call(table)
+    assert type(e.value) is CfgError and str(e.value) == message
+
+
 def test_cyk_basics(table):
     g = _cfg(table, "S -> A B\nA -> a\nB -> b\n")
     a, b = table.terminal("a"), table.terminal("b")

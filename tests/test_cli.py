@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slglab
+from slglab import verify
 from slglab.cli import _ALGORITHMS, CliError, main
 from slglab.core import serialize
 from slglab.generate import random_admissible_slg
@@ -231,10 +232,12 @@ def test_boost_rna_kinds_and_raw(tmp_path, g0_file, capsys):
     assert main(["boost", "--kind", "rna-beta", "--grammar", g0_file,
                  "--alphabet", str(alpha_file), "--out",
                  str(tmp_path / "rb")]) == 0
-    # raw mode refuses multi-character renderings like $_1
+    # there is no raw mode: every booster writes sentinels such as $_1,
+    # which no single byte renders
     assert main(["boost", "--kind", "alpha", "--grammar", g0_file,
                  "--out", str(tmp_path / "rw"), "--raw"]) == 2
-    assert "one byte" in capsys.readouterr().err
+    assert "unrecognized arguments: --raw" in capsys.readouterr().err
+    assert not (tmp_path / "rw.text").exists()
 
 
 def test_boost_outputs_are_pinned(tmp_path, g0_file, capsys):
@@ -313,7 +316,6 @@ def test_verify_env_seed_override(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from slglab import verify
     from slglab.verify import Verdict
 
     def broken(seed, trials, max_nonterms):
@@ -351,6 +353,35 @@ def test_verify_with_too_many_nonterminals_exits_2(capsys):
 def test_usage_error_exit_code():
     assert main(["verify", "--suite", "nosuch"]) == 2
     assert main(["compress"]) == 2
+
+
+_NO_FILE = "[Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize("argv, seed, message", [
+    (["compress", "--alg", "lz78", "--in", "{tmp}/missing.txt"], None,
+     "cannot read {tmp}/missing.txt: " + _NO_FILE.format(path="{tmp}/missing.txt")),
+    (["compress", "--alg", "lz78", "--in", "{tmp}/in.txt", "--out", "{tmp}/no/out.slg"], None,
+     "cannot write {tmp}/no/out.slg: " + _NO_FILE.format(path="{tmp}/no/out.slg")),
+    (["boost", "--kind", "answer", "--out", "{tmp}/ans"], None, "--kind answer needs --points"),
+    (["boost", "--kind", "beta", "--out", "{tmp}/b"], None, "--grammar is required for this kind"),
+    (["verify", "--suite", "lzd", "--trials", "1"], "0x10", "bad SLGLAB_SEED '0x10'"),
+], ids=["cannot-read", "cannot-write", "answer-needs-points", "grammar-required", "bad-seed"])
+def test_cli_refusals_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, seed, message):
+    (tmp_path / "in.txt").write_text("0111\n")
+    if seed is None:
+        monkeypatch.delenv("SLGLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SLGLAB_SEED", seed)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError) as e:
+        verify.run_suite("nosuch", 0, 1, 1)
+    assert type(e.value) is ValueError and str(e.value) == "unknown suite 'nosuch'"
 
 
 def _library_errors():

@@ -54,6 +54,25 @@ def _single_rule(table, text):
     return SLG({head: table.chars(text)}, head, table)
 
 
+def test_count_nonoverlapping_refuses_an_empty_pattern(table):
+    with pytest.raises(CompressorError) as e:
+        count_nonoverlapping("", _single_rule(table, "ab"))
+    assert type(e.value) is CompressorError and str(e.value) == "pattern must be nonempty"
+
+
+@pytest.mark.parametrize("phrases, tiles", [
+    (((1, 2), (3, 1)), True),
+    (((1, 1), (3, 1)), False),  # a gap at position 2
+    (((1, 2), (2, 2)), False),  # an overlap
+    (((1, 3), (4, 0)), False),  # an empty phrase
+    (((1, 2),), False),  # too short
+    (((1, 2), (3, 2)), False),  # too long
+], ids=["tiling", "gap", "overlap", "empty-phrase", "short", "long"])
+def test_check_concat_wants_an_exact_tiling(table, phrases, tiles):
+    fact = compressors.Factorization(tuple(compressors.Phrase(*p) for p in phrases))
+    assert fact.check_concat(table.chars("abc")) is tiles
+
+
 def test_count_nonoverlapping(table):
     g = _single_rule(table, "aaaa")
     assert count_nonoverlapping("aa", g) == 2

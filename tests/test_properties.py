@@ -1,6 +1,7 @@
 """Property tests: text-format round trips of grammars, CFGs and matched
-alphabets, the laws of `make_admissible` and `is_isomorphic`, and the global
-compressors, Sequential and Sequitur against their references.  Examples are
+alphabets, the laws of `make_admissible` and `is_isomorphic`, the start's
+place at the end of the canonical order, and the global compressors,
+Sequential and Sequitur against their references.  Examples are
 derandomized and no example database is kept, so every run draws the same
 cases (`PROPERTY` in `conftest.py`)."""
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from slglab import (
     SLG,
     GlobalStrategy,
+    canonical_order,
     deserialize,
     expand,
     is_admissible,
@@ -124,6 +126,17 @@ def test_make_admissible_laws(g):
     # an admissible grammar is already in normal form
     assert is_isomorphic(make_admissible(out), out)
 
+
+@PROPERTY
+@given(grammars())
+def test_canonical_order_of_an_admissible_grammar_ends_on_its_start(g):
+    # The folding boosters read the start off the end of this order and do
+    # not check it: every other nonterminal expands to a proper part of the
+    # start's expansion.
+    if len(_text(g)) < 2:
+        return
+    out = make_admissible(g)
+    assert canonical_order(out)[-1] is out.start
 
 
 def _cfg_rules(g: CFG):

@@ -250,6 +250,39 @@ def test_fold_result_validate_rejects_crossings(table):
     assert not bad.validate(u, al)
 
 
+@pytest.mark.parametrize("value, pairs, ok", [
+    (0, None, True),  # no witness to check
+    (3, ((5, 6), (2, 3), (1, 4)), True),  # nested and disjoint, any order
+    (1, ((0, 2),), False),  # out of range
+    (1, ((2, 7),), False),
+    (1, ((2, 2),), False),
+    (1, ((3, 4),), False),  # b and a do not match
+    (2, ((1, 4), (4, 5)), False),  # a shared endpoint
+    (2, ((1, 4), (1, 6)), False),
+    (2, ((2, 3), (2, 3)), False),  # a duplicate pair
+    (2, ((2, 3),), False),  # a wrong total
+])
+def test_fold_result_validate_cases(table, value, pairs, ok):
+    al = _pairs(table, [("a", "A", 1), ("b", "B", 1)])
+    assert FoldResult(value, pairs).validate(_s(table, "abBAaA"), al) is ok
+
+
+def test_fold_result_validate_matches_a_pairwise_check():
+    # every two pairs must nest or be disjoint, endpoints not shared
+    rng = random.Random(131)
+    t = SymbolTable()
+    al = _pairs(t, [("a", "A", 1)])
+    for _ in range(400):
+        u = _s(t, "".join(rng.choice("aA") for _ in range(rng.randint(2, 10))))
+        spots = [(i, j) for i in range(1, len(u) + 1) for j in range(i + 1, len(u) + 1)
+                 if u[i - 1] != u[j - 1]]
+        pairs = tuple(rng.choice(spots) for _ in range(rng.randint(0, 4)) if spots)
+        fits = all(j < k or l < i or (i < k and l < j) or (k < i and j < l)
+                   for n, (i, j) in enumerate(pairs) for k, l in pairs[n + 1:])
+        value = len(pairs) + (rng.random() < 0.1)
+        assert FoldResult(value, pairs).validate(u, al) is (fits and value == len(pairs))
+
+
 def test_weighted_to_unweighted(table):
     al = _pairs(table, [("a", "A", 2)])
     u = _s(table, "aA")
@@ -287,6 +320,26 @@ def test_check_decomposition(table):
                             table.terminal("A"), (), weak)
     with pytest.raises(RnaError, match="occurs in"):
         check_decomposition(_s(table, "a"), a, (), big, (), al)
+
+
+def _qq(t, weight):
+    q, qq = t.terminal("q"), t.terminal("Q")
+    return MatchedAlphabet((q, qq), {q: qq, qq: q}, weight(q, qq))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: _qq(t, lambda q, qq: {q: -1, qq: -1}), "negative or missing weight for q"),
+    (lambda t: _qq(t, lambda q, qq: {qq: 1}), "negative or missing weight for q"),
+    (lambda t: wrna(_s(t, "qQ"), _qq(t, lambda q, qq: {q: 2**61, qq: 2**61})),
+     "weights too large for 64-bit accumulation"),
+    (lambda t: check_decomposition((), t.terminal("a"), (), t.terminal("b"), (),
+                                   _pairs(t, [("a", "A", 2), ("b", "B", 1)])),
+     "precondition failed: match(a) != b"),
+], ids=["negative-weight", "missing-weight", "weights-past-64-bits", "unmatched-pair"])
+def test_rna_refusals(table, call, message):
+    with pytest.raises(RnaError) as e:
+        call(table)
+    assert type(e.value) is RnaError and str(e.value) == message
 
 
 def test_reverse_and_match_invariance():

@@ -1,4 +1,5 @@
-"""Grammar model: expansion, measurements, conversions, and the text format."""
+"""Grammar model: expansion, measurements, conversions, and the text format,
+with the refusals of the symbol table and the random generators."""
 import hashlib
 import os
 import random
@@ -27,7 +28,12 @@ from slglab import (
     stats,
 )
 from slglab.core import _dyadic_split
-from slglab.generate import random_admissible_slg, random_dyadic_slg, random_slg
+from slglab.generate import (
+    random_admissible_slg,
+    random_dyadic_slg,
+    random_slg,
+    terminal_alphabet,
+)
 from slglab.symbols import (
     SentinelFamily,
     SymbolError,
@@ -474,6 +480,54 @@ def test_expansion_length_overflow_is_an_error(table):
     g = SLG(rules, heads[65], table)
     with pytest.raises(OverflowError, match="64-bit"):
         stats(g)
+
+
+def _total_past_64_bits(t):
+    """Every expansion fits in 63 bits, their sum does not: O_k doubles
+    O_(k-1) up to 2^62 symbols, and the start adds 2^62 + 1 more."""
+    a = t.terminal("a")
+    heads = [t.nonterminal(f"O{i}") for i in range(62)]
+    rules = {heads[0]: (a, a)}
+    for i in range(1, 62):
+        rules[heads[i]] = (heads[i - 1], heads[i - 1])
+    rules[t.nonterminal("S")] = (heads[61], a)
+    return SLG(rules, t.nonterminal("S"), t)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: stats(_total_past_64_bits(t)), OverflowError, "total expansion exceeds 64-bit range"),
+    (lambda t: deserialize("S -> a\n -> a b\n", t), GrammarParseError, "line 2: empty rule head"),
+    (lambda t: deserialize("# nothing\n\n", t), GrammarParseError, "line 1: no rules"),
+    (lambda t: (t.nonterminal("x"), deserialize("S -> x y\n", t)), GrammarParseError,
+     "line 1: symbol 'x' already interned as nonterminal"),
+], ids=["total-overflow", "empty-head", "no-rules", "kind-clash"])
+def test_core_refusals(table, call, error, message):
+    with pytest.raises(error) as e:
+        call(table)
+    assert type(e.value) is error and str(e.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: t.nonterminal("$_1"), "sentinel '$_1' cannot be a nonterminal"),
+    (lambda t: (t.terminal("x"), t.nonterminal("x")), "symbol 'x' already interned as terminal"),
+    (lambda t: t.sentinel(SentinelFamily.HASH, 0), "sentinel index 0 out of range"),
+    (lambda t: t.sentinel(SentinelFamily.HASH, 10**6), "sentinel index 1000000 out of range"),
+], ids=["sentinel-nonterminal", "kind-clash", "index-0", "index-past-span"])
+def test_symbol_table_refusals(table, call, message):
+    with pytest.raises(SymbolError) as e:
+        call(table)
+    assert type(e.value) is SymbolError and str(e.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: terminal_alphabet(t, 0), "alphabet size out of range"),
+    (lambda t: terminal_alphabet(t, 17), "alphabet size out of range"),
+    (lambda t: random_dyadic_slg(random.Random(1), 1, 2, t), "length must be at least 2"),
+], ids=["alphabet-0", "alphabet-17", "dyadic-length-1"])
+def test_generator_refusals(table, call, message):
+    with pytest.raises(ValueError) as e:
+        call(table)
+    assert type(e.value) is ValueError and str(e.value) == message
 
 
 def test_empty_body_rules_roundtrip_and_convert(table):
