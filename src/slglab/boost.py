@@ -202,8 +202,11 @@ def _bexp_all(g: SLG, index_set):
     for i in index_set:
         if not 1 <= i <= nv:
             raise BoostError(f"index {i} out of range")
-    taken = {n.display for n in g.rules}
-    clash = [f"M{i}" for i in range(1, nv + 1) if f"M{i}" in taken]
+    # A marker may reuse a nonterminal of the table that the grammar does
+    # not use, but neither a rule head nor a terminal.
+    table = g.table
+    clash = [f"M{i}" for i in range(1, nv + 1)
+             if (s := table.get(f"M{i}")) is not None and (s in g.rules or s.is_terminal())]
     if clash:
         raise BoostError(f"grammar uses reserved marker names: {clash}")
     return order, index_set, _interleaved(g, order, marked=index_set)

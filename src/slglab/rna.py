@@ -6,13 +6,16 @@ both the folding value and the witness traceback read.  Each row takes one
 gathered max over the partners of its symbol, chunked to a fixed number of
 cells; the cells below the empty-interval diagonal hold a negative fill
 while the table is built, so a partner past the column never wins, and a
-final clamp sets them back to zero.  The traceback visits only the
-partners of a symbol, found by bisection in the occurrence lists the table
-was built from.  Inputs beyond a configurable length cap are refused.
+final clamp sets them back to zero.  The table is the narrowest of int16,
+int32 and int64 that holds `B`, half the total weight of the positions:
+matched symbols weigh the same, so a pair weighs half its two positions
+and no folding of any interval exceeds `B`.  The traceback tests all the
+partners of a symbol inside an interval with one numpy comparison.  Both
+read one array of positions per symbol.  Inputs beyond a configurable
+length cap are refused.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +136,14 @@ class FoldResult:
     def validate(self, u, alphabet: MatchedAlphabet) -> bool:
         """Witness pairs match, do not cross, and sum to the value.  Taken by
         start, a pair must end inside the innermost open pair: ending at or
-        past that pair's end crosses it, shares an endpoint or repeats it."""
+        past that pair's end crosses it, shares an endpoint or repeats it.
+        A pair that starts on a symbol outside the alphabet matches nothing."""
         if self.pairs is None:
             return True
         total = 0
         open_ends: list[int] = []
         for i, j in sorted(self.pairs):
-            if not (1 <= i < j <= len(u)) or alphabet.match[u[i - 1]] != u[j - 1]:
+            if not (1 <= i < j <= len(u)) or alphabet.match.get(u[i - 1]) != u[j - 1]:
                 return False
             while open_ends and open_ends[-1] < i:
                 open_ends.pop()
@@ -167,12 +171,13 @@ def _encode(u, alphabet: MatchedAlphabet):
     return seq, match_of, w_of
 
 
-def _occurrences(seq, symbol_count):
-    """Increasing positions of each symbol code in `seq`."""
-    occurrences = [[] for _ in range(symbol_count)]
-    for k, c in enumerate(seq):
-        occurrences[c].append(k)
-    return occurrences
+def _positions(seq, symbol_count):
+    """Increasing positions of each symbol code in `seq`, one array per
+    code (views of one sorted array)."""
+    codes = np.asarray(seq, dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=symbol_count)).tolist()
+    return [order[a:b] for a, b in zip([0, *ends], ends)]
 
 
 # Cells of one partner block gathered at once; bounds the scratch memory of
@@ -180,11 +185,19 @@ def _occurrences(seq, symbol_count):
 _GATHER_CELLS = 1 << 16
 
 
-def _wrna_table(seq, match_of, w_of, occurrences=None):
+def _wrna_table(seq, match_of, w_of, positions=None):
     """Interval DP table: `dp[i, j]` is the best folding value of
     `seq[i..j]`.  The table is `(n+2) x (n+1)`; the cells with `j <= i`,
-    column `n` and rows `n` and `n+1` are zero.  It is int32 when
-    `sum(w_of) * n`, a bound on every value, fits in int32, else int64.
+    column `n` and rows `n` and `n+1` are zero.
+
+    Its dtype is the narrowest of int16, int32 and int64 whose maximum is
+    at least `B = (sum of w_of[c] over c in seq) // 2`.  Matched symbols
+    have equal weights, so a pair (i, k) weighs (w_i + w_k) / 2, and a
+    folding weighs at most half the positions it pairs: every cell, and
+    every sum of cells over disjoint intervals, is at most `B`.  So is each
+    per-partner constant `w + dp[i+1, k-1]`, the value of a folding of
+    `seq[i..k]`; the constants are computed in the table's dtype, so no
+    result depends on numpy's promotion rules.
 
     Rows are filled from `n-1` down to `0`.  Row `i` starts as row `i+1`
     (position `i` left unpaired).  Then one gathered max over the
@@ -193,31 +206,35 @@ def _wrna_table(seq, match_of, w_of, occurrences=None):
     `K`, in blocks of at most `_GATHER_CELLS` cells.  A partner `k > j`
     reads `dp[k+1, j]`, below the diagonal `j = r-1` of empty intervals.
     While the table is built those cells hold minus the dtype's maximum;
-    every valid value is at most that maximum, so such a candidate is
-    never positive and never overflows.  One final clamp sets them back to
-    zero.
+    a constant is between 0 and that maximum, so such a candidate is never
+    positive and never overflows.  One final clamp sets them back to zero.
     """
     n = len(seq)
-    if occurrences is None:
-        occurrences = _occurrences(seq, len(match_of))
-    dtype = np.int32 if sum(w_of) * n <= np.iinfo(np.int32).max else np.int64
+    if positions is None:
+        positions = _positions(seq, len(match_of))
+    bound = sum(map(w_of.__getitem__, seq)) // 2
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     fill = -np.iinfo(dtype).max
-    positions = [np.array(ks, dtype=np.intp) for ks in occurrences]
     dp = np.zeros((n + 2, n + 1), dtype=dtype)
     for r in range(2, n + 2):
         dp[r, : r - 1] = fill
+    # after[c]: the occurrences of code c after the current row
+    after = [0] * len(match_of)
     for i in range(n - 1, -1, -1):
         row, below = dp[i], dp[i + 1]
         row[i:n] = below[i:n]
         c = match_of[seq[i]]
-        w = w_of[seq[i]]
         ks = positions[c]
-        t = bisect_right(occurrences[c], i)
+        t = len(ks) - after[c]
+        after[seq[i]] += 1
         while t < len(ks):
             k0 = int(ks[t])
             block = ks[t : t + max(1, _GATHER_CELLS // (n - k0))]
+            # In place, so in the table's dtype; w <= B, as i has a partner.
+            const = below[block - 1]
+            const += w_of[seq[i]]
             cand = dp[block + 1, k0:n]
-            cand += (w + below[block - 1])[:, None]
+            cand += const[:, None]
             np.maximum(row[k0:n], cand.max(axis=0), out=row[k0:n])
             t += len(block)
     np.maximum(dp, 0, out=dp)
@@ -235,8 +252,8 @@ def wrna(
     With `want_pairs`, the witness is traced back through the table: an
     interval `[i, j]` whose value differs from `[i+1, j]` pairs `i` with the
     first partner `k` in `(i, j]`, in increasing order, whose split
-    reproduces the value.  Only the occurrences of `match(u[i])` are
-    visited.
+    reproduces the value.  The partners of `u[i]` in `(i, j]` are tested
+    with one numpy comparison.
     """
     u = tuple(u)
     if len(u) > length_cap:
@@ -246,8 +263,8 @@ def wrna(
     seq, match_of, w_of = _encode(u, alphabet)
     if sum(w_of) * len(u) > MAX_WEIGHT_TOTAL:
         raise RnaError("weights too large for 64-bit accumulation")
-    occurrences = _occurrences(seq, len(match_of))
-    dp = _wrna_table(seq, match_of, w_of, occurrences)
+    positions = _positions(seq, len(match_of))
+    dp = _wrna_table(seq, match_of, w_of, positions)
     n = len(u)
     value = int(dp[0, n - 1])
     if not want_pairs:
@@ -263,15 +280,17 @@ def wrna(
         if best == at(i + 1, j):
             stack.append((i + 1, j))
             continue
-        ks = occurrences[match_of[seq[i]]]
-        rest = best - w_of[seq[i]]
-        for t in range(bisect_right(ks, i), bisect_right(ks, j)):
-            k = ks[t]
-            if rest == at(i + 1, k - 1) + at(k + 1, j):
-                pairs.append((i + 1, k + 1))
-                stack.append((i + 1, k - 1))
-                stack.append((k + 1, j))
-                break
+        ks = positions[match_of[seq[i]]]
+        lo, hi = ks.searchsorted((i, j), "right")
+        ks = ks[lo:hi]
+        # Two disjoint intervals fold to at most B together: no overflow.
+        hits = (dp[i + 1][ks - 1] + dp[ks + 1, j] == best - w_of[seq[i]]).nonzero()[0]
+        if not hits.size:
+            raise RuntimeError(f"folding traceback found no partner for position {i + 1}")
+        k = int(ks[hits[0]])
+        pairs.append((i + 1, k + 1))
+        stack.append((i + 1, k - 1))
+        stack.append((k + 1, j))
     return FoldResult(value, tuple(sorted(pairs)))
 
 

@@ -130,13 +130,25 @@ class SymbolTable:
         return self._register(sym)
 
     def fresh_nonterminal(self, prefix: str = "N") -> Symbol:
+        """A new nonterminal named `prefix` and the first number, past the
+        last one minted for `prefix`, whose name is free.  The name is
+        refused as `nonterminal` would refuse it; a free name needs no
+        other check, so the symbol is minted here, not through `_intern`.
+        The appended digits hold no whitespace, so the prefix is scanned."""
         n = self._fresh_counters.get(prefix, 0)
         while True:
             n += 1
             display = f"{prefix}{n}"
             if display not in self._by_display:
-                self._fresh_counters[prefix] = n
-                return self._intern(display, NONTERMINAL)
+                break
+        self._fresh_counters[prefix] = n
+        if any(ch.isspace() for ch in prefix):
+            raise SymbolError(f"bad symbol display {display!r}")
+        if parse_sentinel_display(display) is not None:
+            raise SymbolError(f"sentinel {display!r} cannot be a nonterminal")
+        sym = Symbol(self._next_id, NONTERMINAL, display)
+        self._next_id += 1
+        return self._register(sym)
 
     def by_id(self, symbol_id: int) -> Symbol:
         return self._by_id[symbol_id]

@@ -396,6 +396,21 @@ def test_bexp_rejects_reserved_marker_names(table):
         bexp(g, frozenset({1}), m1)
 
 
+def test_marker_named_terminal_is_refused_as_a_reserved_name(table):
+    # S -> M1 b: the terminal M1 is not a rule head, so the check must read
+    # the terminals too; the marker's interning would otherwise fail with
+    # a SymbolError.  Alpha builds no marker and accepts the grammar.
+    s, m1 = table.nonterminal("S"), table.terminal("M1")
+    g = SLG({s: (m1, table.terminal("b"))}, s, table)
+    assert len(alpha(g).text) == 4 * 2
+    for call in (lambda: bexp(g, frozenset({1}), s), lambda: build_gi(g, frozenset({1})),
+                 lambda: build_gi(g, frozenset())):
+        with pytest.raises(BoostError) as e:
+            call()
+        assert type(e.value) is BoostError
+        assert str(e.value) == "grammar uses reserved marker names: ['M1']"
+
+
 def test_folding_boosters_extend_match_involutively():
     rng = random.Random(73)
     for _ in range(10):

@@ -1,5 +1,6 @@
 """Non-crossing matching: DP against exhaustive search, the weight-to-copies
 reduction, reversal and match invariance, and the decomposition identity."""
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,9 @@ from slglab import (
     weighted_to_unweighted,
     wrna,
 )
+from slglab.boost import gamma, rna_alpha, rna_beta
 from slglab.rna import rna
-from slglab.generate import random_matched_alphabet
+from slglab.generate import random_admissible_slg, random_matched_alphabet
 from slglab.symbols import SymbolTable
 
 from conftest import wrna_exhaustive, wrna_reference, wrna_table_py
@@ -206,13 +208,15 @@ def _reaches_chunks(u, al):
 def test_wrna_matches_reference():
     """The row-gathered kernel and the partner-only traceback give the
     per-pair kernel's full table, value and witness pairs: lengths up to
-    800, 1, 2 and 8 pairs, weights 1, 4 and 10**6 (the last past int32)."""
+    800, 1, 2 and 8 pairs, weights 1, 4, 10**6 and 10**9, so the table
+    takes each of its three widths."""
     from slglab.rna import _encode, _wrna_table
 
     rng = random.Random(137)
     cases = [(800, 1, 1), (800, 2, 4), (600, 8, 10**6)]
     cases += [(rng.randint(0, 200), rng.choice([1, 2, 8]), rng.choice([1, 4, 10**6]))
               for _ in range(12)]
+    cases.append((300, 2, 10**9))
     chunked, dtypes = 0, set()
     for n, pairs, max_weight in cases:
         t = SymbolTable()
@@ -226,7 +230,48 @@ def test_wrna_matches_reference():
         res = wrna(u, al, want_pairs=True)
         assert (res.value, res.pairs) == (value, witness)
         chunked += _reaches_chunks(u, al)
-    assert chunked >= 2 and dtypes == {"int32", "int64"}
+    assert chunked >= 2 and dtypes == {"int16", "int32", "int64"}
+
+
+@pytest.mark.parametrize("text, wa, wb, width, value", [
+    ("aA", 32767, 1, "int16", 32767),
+    ("a", 32768, 1, "int16", 0),  # an unpaired weight past int16
+    ("aAb", 32767, 1, "int16", 32767),
+    ("aAbB", 32766, 1, "int16", 32767),
+    ("aA", 32768, 1, "int32", 32768),
+    ("aAb", 32767, 2, "int32", 32767),
+    ("aAbB", 32766, 2, "int32", 32768),
+    ("abAB", 16384, 16384, "int32", 16384),
+])
+def test_wrna_table_width_at_the_int16_bound(table, text, wa, wb, width, value):
+    """The bound B, half the total weight, is 32,767 (int16) or 32,768
+    (int32); the folds of value B reach it exactly, in int16 at 32,767.
+    A weight above B belongs to a symbol without a partner."""
+    from slglab.rna import _encode, _wrna_table
+
+    al = _pairs(table, [("a", "A", wa), ("b", "B", wb)])
+    u = _s(table, text)
+    dp = _wrna_table(*_encode(u, al))
+    ref, ref_value, ref_pairs = wrna_reference(u, al)
+    assert dp.dtype.name == width and dp.tolist() == ref.tolist()
+    res = wrna(u, al, want_pairs=True)
+    assert (res.value, res.pairs) == (ref_value, ref_pairs) and res.value == value
+
+
+def test_traceback_refuses_a_table_no_partner_explains(table, monkeypatch):
+    import slglab.rna as rna_module
+
+    build = rna_module._wrna_table
+
+    def raised_corner(*args):
+        dp = build(*args)
+        dp[0, dp.shape[1] - 2] += 1
+        return dp
+
+    monkeypatch.setattr(rna_module, "_wrna_table", raised_corner)
+    al = _pairs(table, [("a", "A", 2)])
+    with pytest.raises(RuntimeError, match="^folding traceback found no partner for position 1$"):
+        wrna(_s(table, "aAa"), al, want_pairs=True)
 
 
 def test_witness_pairs_validate():
@@ -265,6 +310,12 @@ def test_fold_result_validate_rejects_crossings(table):
 def test_fold_result_validate_cases(table, value, pairs, ok):
     al = _pairs(table, [("a", "A", 1), ("b", "B", 1)])
     assert FoldResult(value, pairs).validate(_s(table, "abBAaA"), al) is ok
+
+
+def test_fold_result_validate_rejects_a_symbol_outside_the_alphabet(table):
+    al = _pairs(table, [("a", "A", 1)])
+    assert FoldResult(1, ((1, 2),)).validate(_s(table, "zA"), al) is False
+    assert FoldResult(1, ((1, 2),)).validate(_s(table, "aA"), al) is True
 
 
 def test_fold_result_validate_matches_a_pairwise_check():
@@ -360,3 +411,36 @@ def test_superadditivity_under_concatenation():
         u = tuple(rng.choice(al.symbols) for _ in range(rng.randint(0, 20)))
         v = tuple(rng.choice(al.symbols) for _ in range(rng.randint(0, 20)))
         assert wrna(u + v, al).value >= wrna(u, al).value + wrna(v, al).value
+
+
+def _width(alphabet, u):
+    """The narrowest of int16, int32 and int64 that holds half the weight
+    of `u`, a bound on every folding value of its intervals."""
+    bound = sum(alphabet.weight[s] for s in u) // 2
+    return next(name for name, bits in (("int16", 15), ("int32", 31), ("int64", 63))
+                if bound < 2**bits)
+
+
+def test_fold_outputs_are_pinned():
+    # wrna values and witness pairs of the rna_alpha, rna_beta and gamma
+    # strings of seeded grammars: strings of 131 to 1,920 symbols, four
+    # of them over 1,000, and weights whose half-total bound needs each of
+    # int16, int32 and int64.  A change that keeps every output keeps this
+    # digest.
+    rng = random.Random(263)
+    digest = hashlib.sha256()
+    widths, long_strings = set(), 0
+    for nonterms, sigma, max_weight in [(4, 30, 3), (8, 80, 4), (12, 80, 40),
+                                        (16, 150, 4), (10, 70, 10**6), (6, 40, 10**8)]:
+        t = SymbolTable()
+        alphabet = random_matched_alphabet(rng, 3, max_weight, t)
+        g = random_admissible_slg(rng, nonterms, 3, 2 * sigma, t)
+        for build in (rna_alpha, rna_beta, gamma):
+            r = build(g, alphabet)
+            res = wrna(r.text, r.alphabet, want_pairs=True)
+            digest.update(f"{len(r.text)} {res.value} {res.pairs}\n".encode())
+            widths.add(_width(r.alphabet, r.text))
+            long_strings += len(r.text) > 1000
+    assert widths == {"int16", "int32", "int64"} and long_strings >= 4
+    assert digest.hexdigest() == (
+        "1a05504a9d1b12e92c42ae5b9e62f95de6d2a4b1c3f673c8dbb461ff379784fc")

@@ -3,6 +3,7 @@ with the refusals of the symbol table and the random generators."""
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -512,11 +513,44 @@ def test_core_refusals(table, call, error, message):
     (lambda t: (t.terminal("x"), t.nonterminal("x")), "symbol 'x' already interned as terminal"),
     (lambda t: t.sentinel(SentinelFamily.HASH, 0), "sentinel index 0 out of range"),
     (lambda t: t.sentinel(SentinelFamily.HASH, 10**6), "sentinel index 1000000 out of range"),
-], ids=["sentinel-nonterminal", "kind-clash", "index-0", "index-past-span"])
+    (lambda t: t.fresh_nonterminal("a b"), "bad symbol display 'a b1'"),
+    (lambda t: t.fresh_nonterminal("$_"), "sentinel '$_1' cannot be a nonterminal"),
+    (lambda t: (t.terminal("#_1"), t.terminal("#_11"), t.fresh_nonterminal("#_1")),
+     "sentinel '#_12' cannot be a nonterminal"),
+], ids=["sentinel-nonterminal", "kind-clash", "index-0", "index-past-span",
+        "fresh-whitespace", "fresh-sentinel", "fresh-sentinel-past-taken"])
 def test_symbol_table_refusals(table, call, message):
     with pytest.raises(SymbolError) as e:
         call(table)
     assert type(e.value) is SymbolError and str(e.value) == message
+
+
+def test_fresh_nonterminal_matches_interning_the_first_free_name():
+    # Minted names skip every name already interned, of either kind, and
+    # take the ids `nonterminal` would give them.
+    rng = random.Random(281)
+    for _ in range(40):
+        fresh, ref = SymbolTable(), SymbolTable()
+        counters = {}
+        for _ in range(60):
+            prefix = rng.choice(["N", "R", "S1", ""])
+            if rng.random() < 0.3:
+                name = f"{prefix}{rng.randint(1, 12)}"
+                intern = rng.choice([SymbolTable.terminal, SymbolTable.nonterminal])
+                try:
+                    got = intern(fresh, name)
+                except SymbolError as e:
+                    with pytest.raises(SymbolError, match=re.escape(str(e))):
+                        intern(ref, name)
+                    continue
+                assert got == intern(ref, name)
+                continue
+            n = counters.get(prefix, 0) + 1
+            while ref.get(f"{prefix}{n}") is not None:
+                n += 1
+            counters[prefix] = n
+            assert fresh.fresh_nonterminal(prefix) == ref.nonterminal(f"{prefix}{n}")
+        assert interned(fresh) == interned(ref)
 
 
 @pytest.mark.parametrize("call, message", [
