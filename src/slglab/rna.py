@@ -6,13 +6,16 @@ both the folding value and the witness traceback read.  Each row takes one
 gathered max over the partners of its symbol, chunked to a fixed number of
 cells; the cells below the empty-interval diagonal hold a negative fill
 while the table is built, so a partner past the column never wins, and a
-final clamp sets them back to zero.  The table is the narrowest of int16,
+final clamp sets them back to zero.  The table is the narrowest of uint16,
 int32 and int64 that holds `B`, half the total weight of the positions:
 matched symbols weigh the same, so a pair weighs half its two positions
-and no folding of any interval exceeds `B`.  The traceback tests all the
-partners of a symbol inside an interval with one numpy comparison.  Both
-read one array of positions per symbol.  Inputs beyond a configurable
-length cap are refused.
+and no folding of any interval exceeds `B`.  A uint16 table is built
+as int16 while its values stay below 2**15; from the first row that may
+pass it up, rows are built unsigned, with the out-of-column cells masked
+instead of filled.  The traceback tests all the partners of a symbol
+inside an interval with one numpy comparison.  Both read one array of
+positions per symbol.  Inputs beyond a configurable length cap are
+refused.
 """
 from __future__ import annotations
 
@@ -190,7 +193,7 @@ def _wrna_table(seq, match_of, w_of, positions=None):
     `seq[i..j]`.  The table is `(n+2) x (n+1)`; the cells with `j <= i`,
     column `n` and rows `n` and `n+1` are zero.
 
-    Its dtype is the narrowest of int16, int32 and int64 whose maximum is
+    Its dtype is the narrowest of uint16, int32 and int64 whose maximum is
     at least `B = (sum of w_of[c] over c in seq) // 2`.  Matched symbols
     have equal weights, so a pair (i, k) weighs (w_i + w_k) / 2, and a
     folding weighs at most half the positions it pairs: every cell, and
@@ -205,39 +208,60 @@ def _wrna_table(seq, match_of, w_of, positions=None):
     `j >= K[0]` to `w + dp[i+1, k-1] + dp[k+1, j]`, the best over `k` in
     `K`, in blocks of at most `_GATHER_CELLS` cells.  A partner `k > j`
     reads `dp[k+1, j]`, below the diagonal `j = r-1` of empty intervals.
-    While the table is built those cells hold minus the dtype's maximum;
-    a constant is between 0 and that maximum, so such a candidate is never
-    positive and never overflows.  One final clamp sets them back to zero.
+    While the table is built those cells hold minus the maximum of the
+    signed view of the dtype (int16 for uint16); a constant is between 0
+    and that maximum, so such a candidate is never positive and never
+    overflows.  A row of a uint16 table whose values may pass that maximum
+    -- it has a partner and `dp[i+1, n-1] + w` does -- is built unsigned,
+    and so is every row above it: there a fill would collide with a value,
+    so the cells `j < k` of each partner `k` are zeroed in the gathered
+    block instead.  The final clamp of the signed rows and the zeroing of
+    the unsigned rows' lower triangle set the cells below the diagonal
+    back to zero.
     """
     n = len(seq)
     if positions is None:
         positions = _positions(seq, len(match_of))
     bound = sum(map(w_of.__getitem__, seq)) // 2
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    fill = -np.iinfo(dtype).max
+    dtype = next(t for t in (np.uint16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     dp = np.zeros((n + 2, n + 1), dtype=dtype)
+    signed = dp.view(np.int16) if dtype is np.uint16 else dp
+    top = np.iinfo(signed.dtype).max
     for r in range(2, n + 2):
-        dp[r, : r - 1] = fill
+        signed[r, : r - 1] = -top
+    cols = np.arange(n + 1)
     # after[c]: the occurrences of code c after the current row
     after = [0] * len(match_of)
+    # the rows below `unsigned_to` are built unsigned; 0 while none is
+    unsigned_to = 0
     for i in range(n - 1, -1, -1):
-        row, below = dp[i], dp[i + 1]
-        row[i:n] = below[i:n]
         c = match_of[seq[i]]
         ks = positions[c]
         t = len(ks) - after[c]
         after[seq[i]] += 1
+        w = w_of[seq[i]]
+        if not unsigned_to and bound > top and t < len(ks) and signed.item(i + 1, n - 1) + w > top:
+            unsigned_to = i + 1
+        table = dp if unsigned_to else signed
+        row, below = table[i], table[i + 1]
+        row[i:n] = below[i:n]
         while t < len(ks):
             k0 = int(ks[t])
             block = ks[t : t + max(1, _GATHER_CELLS // (n - k0))]
-            # In place, so in the table's dtype; w <= B, as i has a partner.
+            # In place, so in the table's dtype; w <= B, as i has a partner,
+            # and a signed row has w <= top.
             const = below[block - 1]
-            const += w_of[seq[i]]
-            cand = dp[block + 1, k0:n]
+            const += w
+            cand = table[block + 1, k0:n]
             cand += const[:, None]
+            if unsigned_to:
+                span = int(block[-1]) - k0
+                cand[:, :span] *= cols[:span] >= (block - k0)[:, None]
             np.maximum(row[k0:n], cand.max(axis=0), out=row[k0:n])
             t += len(block)
-    np.maximum(dp, 0, out=dp)
+    np.maximum(signed[unsigned_to:], 0, out=signed[unsigned_to:])
+    for r in range(2, unsigned_to):
+        dp[r, : r - 1] = 0
     return dp
 
 

@@ -230,23 +230,45 @@ def test_wrna_matches_reference():
         res = wrna(u, al, want_pairs=True)
         assert (res.value, res.pairs) == (value, witness)
         chunked += _reaches_chunks(u, al)
-    assert chunked >= 2 and dtypes == {"int16", "int32", "int64"}
+    assert chunked >= 2 and dtypes == {"uint16", "int32", "int64"}
+
+
+def test_wrna_unsigned_rows_match_reference():
+    """A uint16 table whose values pass 2**15 builds its top rows
+    unsigned, with masked blocks; table, value and witness are the per-pair
+    kernel's, with rows that take more than one gather."""
+    from slglab.rna import _encode, _wrna_table
+
+    rng = random.Random(139)
+    t = SymbolTable()
+    al = _pairs(t, [("a", "A", 150), ("b", "B", 170)])
+    u = tuple(rng.choice(al.symbols) for _ in range(600))
+    table, value, witness = wrna_reference(u, al)
+    dp = _wrna_table(*_encode(u, al))
+    assert dp.dtype.name == "uint16" and value > 2**15 and _reaches_chunks(u, al)
+    assert dp.tolist() == table.tolist()
+    res = wrna(u, al, want_pairs=True)
+    assert (res.value, res.pairs) == (value, witness)
 
 
 @pytest.mark.parametrize("text, wa, wb, width, value", [
-    ("aA", 32767, 1, "int16", 32767),
-    ("a", 32768, 1, "int16", 0),  # an unpaired weight past int16
-    ("aAb", 32767, 1, "int16", 32767),
-    ("aAbB", 32766, 1, "int16", 32767),
-    ("aA", 32768, 1, "int32", 32768),
-    ("aAb", 32767, 2, "int32", 32767),
-    ("aAbB", 32766, 2, "int32", 32768),
-    ("abAB", 16384, 16384, "int32", 16384),
+    ("aA", 32767, 1, "uint16", 32767),  # the largest value of a signed row
+    ("aA", 32768, 1, "uint16", 32768),  # row 0 built unsigned
+    ("aAb", 32767, 2, "uint16", 32767),
+    ("aAbB", 32766, 2, "uint16", 32768),
+    ("aAaA", 16384, 1, "uint16", 32768),  # rows 0 and 1 built unsigned
+    ("abAB", 16384, 16384, "uint16", 16384),
+    ("a", 65536, 1, "uint16", 0),  # an unpaired weight past uint16
+    ("aA", 65535, 1, "uint16", 65535),
+    ("aAbB", 65534, 1, "uint16", 65535),
+    ("aA", 65536, 1, "int32", 65536),
+    ("aAbB", 65534, 2, "int32", 65536),
 ])
-def test_wrna_table_width_at_the_int16_bound(table, text, wa, wb, width, value):
-    """The bound B, half the total weight, is 32,767 (int16) or 32,768
-    (int32); the folds of value B reach it exactly, in int16 at 32,767.
-    A weight above B belongs to a symbol without a partner."""
+def test_wrna_table_width_at_the_16_bit_bounds(table, text, wa, wb, width, value):
+    """The bound B, half the total weight, is 65,535 (uint16) or 65,536
+    (int32); the folds of value B reach it exactly, in uint16 at 65,535.
+    Rows whose values may pass 32,767 are built unsigned.  A weight above
+    B belongs to a symbol without a partner."""
     from slglab.rna import _encode, _wrna_table
 
     al = _pairs(table, [("a", "A", wa), ("b", "B", wb)])
@@ -414,10 +436,10 @@ def test_superadditivity_under_concatenation():
 
 
 def _width(alphabet, u):
-    """The narrowest of int16, int32 and int64 that holds half the weight
+    """The narrowest of uint16, int32 and int64 that holds half the weight
     of `u`, a bound on every folding value of its intervals."""
     bound = sum(alphabet.weight[s] for s in u) // 2
-    return next(name for name, bits in (("int16", 15), ("int32", 31), ("int64", 63))
+    return next(name for name, bits in (("uint16", 16), ("int32", 31), ("int64", 63))
                 if bound < 2**bits)
 
 
@@ -425,7 +447,8 @@ def test_fold_outputs_are_pinned():
     # wrna values and witness pairs of the rna_alpha, rna_beta and gamma
     # strings of seeded grammars: strings of 131 to 1,920 symbols, four
     # of them over 1,000, and weights whose half-total bound needs each of
-    # int16, int32 and int64.  A change that keeps every output keeps this
+    # uint16, int32 and int64; one uint16 fold, of value 57,652, builds its
+    # top rows unsigned.  A change that keeps every output keeps this
     # digest.
     rng = random.Random(263)
     digest = hashlib.sha256()
@@ -441,6 +464,6 @@ def test_fold_outputs_are_pinned():
             digest.update(f"{len(r.text)} {res.value} {res.pairs}\n".encode())
             widths.add(_width(r.alphabet, r.text))
             long_strings += len(r.text) > 1000
-    assert widths == {"int16", "int32", "int64"} and long_strings >= 4
+    assert widths == {"uint16", "int32", "int64"} and long_strings >= 4
     assert digest.hexdigest() == (
         "1a05504a9d1b12e92c42ae5b9e62f95de6d2a4b1c3f673c8dbb461ff379784fc")
