@@ -402,9 +402,14 @@ def random_access(g: SLG, i: int) -> Symbol:
 
 
 def serialize(g: SLG) -> str:
+    """The text form that `deserialize` reads back.  Raises `GrammarError`
+    for a head that would read back as something else: one holding `->`
+    (a shorter head) or displayed `#` (a comment line)."""
     lines = []
     heads = [g.start] + [h for h in g.rules if h != g.start]
     for head in heads:
+        if "->" in head.display or head.display == "#":
+            raise GrammarError(f"rule head {head.display} has no text form that reads back")
         body = " ".join(s.display for s in g.rules[head])
         lines.append(f"{head.display} -> {body}".rstrip())
     return "\n".join(lines) + "\n"

@@ -1,21 +1,14 @@
 """Weighted and unweighted non-crossing matching (RNA folding) over matched
 alphabets, plus the structural identities used by the boosting checks.
 
-One numpy interval-DP kernel (cubic, Nussinov-style) fills the table that
-both the folding value and the witness traceback read.  Each row takes one
-gathered max over the partners of its symbol, chunked to a fixed number of
-cells; the cells below the empty-interval diagonal hold a negative fill
-while the table is built, so a partner past the column never wins, and a
-final clamp sets them back to zero.  The table is the narrowest of uint16,
-int32 and int64 that holds `B`, half the total weight of the positions:
-matched symbols weigh the same, so a pair weighs half its two positions
-and no folding of any interval exceeds `B`.  A uint16 table is built
-as int16 while its values stay below 2**15; from the first row that may
-pass it up, rows are built unsigned, with the out-of-column cells masked
-instead of filled.  The traceback tests all the partners of a symbol
-inside an interval with one numpy comparison.  Both read one array of
-positions per symbol.  Inputs beyond a configurable length cap are
-refused.
+One numpy interval-DP kernel (cubic, Nussinov-style), `_wrna_table`, fills
+the table that both the folding value and the witness traceback read; its
+docstring gives the row scheme.  The table is the narrowest of uint16,
+int32 and int64 that holds `B`, half the total weight of the positions,
+and an input whose `B` none of them holds is refused: that is the one
+weight rule.  The traceback tests all the partners of a symbol inside an
+interval with one numpy comparison.  Both read one array of positions per
+symbol.  Inputs beyond a configurable length cap are refused.
 """
 from __future__ import annotations
 
@@ -27,8 +20,6 @@ from .core import _content_lines
 from .symbols import Symbol, SymbolTable
 
 DEFAULT_LENGTH_CAP = 3000
-
-MAX_WEIGHT_TOTAL = 2**62
 
 
 class RnaError(ValueError):
@@ -86,8 +77,10 @@ class MatchedAlphabet:
                                {**self.match, **new_match},
                                {**self.weight, **new_weight})
 
-    # text format: one line per pair, `a ~ b : w`
     def serialize(self) -> str:
+        """One line per pair, `a ~ b : w`.  A line `# ~ b : w` would read
+        back as a comment, so a symbol displayed `#` (one per table at
+        most) is written second."""
         lines = []
         done = set()
         for a in self.symbols:
@@ -96,6 +89,8 @@ class MatchedAlphabet:
             b = self.match[a]
             done.add(a)
             done.add(b)
+            if a.display == "#":
+                a, b = b, a
             lines.append(f"{a.display} ~ {b.display} : {self.weight[a]}")
         return "\n".join(lines) + "\n"
 
@@ -158,6 +153,9 @@ class FoldResult:
 
 
 def _encode(u, alphabet: MatchedAlphabet):
+    """The codes of `u`, the partner code and weight of each code, and the
+    increasing positions of each code in `u`, one array per code (views of
+    one sorted array)."""
     codes = {}
     for s in alphabet.symbols:
         codes.setdefault(s, len(codes))
@@ -166,21 +164,12 @@ def _encode(u, alphabet: MatchedAlphabet):
         if s not in codes:
             raise RnaError(f"symbol {s.display} outside the matched alphabet")
         seq.append(codes[s])
-    match_of = [0] * len(codes)
-    w_of = [0] * len(codes)
-    for s, c in codes.items():
-        match_of[c] = codes[alphabet.match[s]]
-        w_of[c] = alphabet.weight[s]
-    return seq, match_of, w_of
-
-
-def _positions(seq, symbol_count):
-    """Increasing positions of each symbol code in `seq`, one array per
-    code (views of one sorted array)."""
-    codes = np.asarray(seq, dtype=np.intp)
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=symbol_count)).tolist()
-    return [order[a:b] for a, b in zip([0, *ends], ends)]
+    match_of = [codes[alphabet.match[s]] for s in codes]
+    w_of = [alphabet.weight[s] for s in codes]
+    coded = np.asarray(seq, dtype=np.intp)
+    order = np.argsort(coded, kind="stable")
+    ends = np.cumsum(np.bincount(coded, minlength=len(codes))).tolist()
+    return seq, match_of, w_of, [order[a:b] for a, b in zip([0, *ends], ends)]
 
 
 # Cells of one partner block gathered at once; bounds the scratch memory of
@@ -188,19 +177,20 @@ def _positions(seq, symbol_count):
 _GATHER_CELLS = 1 << 16
 
 
-def _wrna_table(seq, match_of, w_of, positions=None):
+def _wrna_table(seq, match_of, w_of, positions):
     """Interval DP table: `dp[i, j]` is the best folding value of
     `seq[i..j]`.  The table is `(n+2) x (n+1)`; the cells with `j <= i`,
     column `n` and rows `n` and `n+1` are zero.
 
     Its dtype is the narrowest of uint16, int32 and int64 whose maximum is
-    at least `B = (sum of w_of[c] over c in seq) // 2`.  Matched symbols
-    have equal weights, so a pair (i, k) weighs (w_i + w_k) / 2, and a
-    folding weighs at most half the positions it pairs: every cell, and
-    every sum of cells over disjoint intervals, is at most `B`.  So is each
-    per-partner constant `w + dp[i+1, k-1]`, the value of a folding of
-    `seq[i..k]`; the constants are computed in the table's dtype, so no
-    result depends on numpy's promotion rules.
+    at least `B = (sum of w_of[c] over c in seq) // 2`, and the input is
+    refused when none is.  Matched symbols have equal weights, so a pair
+    (i, k) weighs (w_i + w_k) / 2, and a folding weighs at most half the
+    positions it pairs: every cell, and every sum of cells over disjoint
+    intervals, is at most `B`.  So is each per-partner constant
+    `w + dp[i+1, k-1]`, the value of a folding of `seq[i..k]`; the
+    constants are computed in the table's dtype, so no result depends on
+    numpy's promotion rules.
 
     Rows are filled from `n-1` down to `0`.  Row `i` starts as row `i+1`
     (position `i` left unpaired).  Then one gathered max over the
@@ -220,10 +210,12 @@ def _wrna_table(seq, match_of, w_of, positions=None):
     back to zero.
     """
     n = len(seq)
-    if positions is None:
-        positions = _positions(seq, len(match_of))
     bound = sum(map(w_of.__getitem__, seq)) // 2
-    dtype = next(t for t in (np.uint16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    for dtype in (np.uint16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            break
+    else:
+        raise RnaError("weights too large for 64-bit accumulation")
     dp = np.zeros((n + 2, n + 1), dtype=dtype)
     signed = dp.view(np.int16) if dtype is np.uint16 else dp
     top = np.iinfo(signed.dtype).max
@@ -278,16 +270,15 @@ def wrna(
     first partner `k` in `(i, j]`, in increasing order, whose split
     reproduces the value.  The partners of `u[i]` in `(i, j]` are tested
     with one numpy comparison.
+
+    Refuses, in this order, an input longer than `length_cap`, a symbol
+    outside the alphabet, and a bound `B` (half the total weight of `u`)
+    past 2**63 - 1, which no table width holds.
     """
     u = tuple(u)
     if len(u) > length_cap:
         raise RnaError(f"input length {len(u)} exceeds the cap {length_cap}")
-    if not u:
-        return FoldResult(0, () if want_pairs else None)
-    seq, match_of, w_of = _encode(u, alphabet)
-    if sum(w_of) * len(u) > MAX_WEIGHT_TOTAL:
-        raise RnaError("weights too large for 64-bit accumulation")
-    positions = _positions(seq, len(match_of))
+    seq, match_of, w_of, positions = _encode(u, alphabet)
     dp = _wrna_table(seq, match_of, w_of, positions)
     n = len(u)
     value = int(dp[0, n - 1])

@@ -46,6 +46,8 @@ def test_wrna_examples(table):
     # crossing forbidden: a b A B keeps only one pair at unit weights
     assert wrna(_s(table, "abAB"), al2).value == 1
     assert wrna((), al2).value == 0
+    assert wrna((), al2, want_pairs=True) == rna((), al2, want_pairs=True) == FoldResult(0, ())
+    assert wrna((), al2) == rna((), al2) == FoldResult(0, None)
     assert wrna(_s(table, "aB"), al2).value == 0
 
 
@@ -123,11 +125,13 @@ def test_extended_refuses_rebinding_an_existing_symbol(table):
 
 
 def test_alphabet_text_roundtrip(table):
-    al = _pairs(table, [("a", "A", 2), ("b", "B", 5)])
+    al = _pairs(table, [("a", "A", 2), ("b", "B", 5), ("#", "c", 3)])
     text = al.serialize()
     back = parse_matched_alphabet(text, table)
     assert back.serialize() == text
     assert back.weight[table.terminal("b")] == 5
+    # `# ~ c : 3` would be a comment line; the pair is written from c's side
+    assert text.endswith("c ~ # : 3\n") and back.match == al.match
 
 
 def test_generated_alphabets_round_trip():
@@ -183,8 +187,8 @@ def test_jit_kernel_matches_python_dp():
         al = random_matched_alphabet(rng, rng.randint(1, 3), 4, t)
         n = rng.randint(2, 120)
         u = tuple(rng.choice(al.symbols) for _ in range(n))
-        seq, match_of, w_of = _encode(u, al)
-        dp = _wrna_table(seq, match_of, w_of)
+        seq, match_of, w_of, positions = _encode(u, al)
+        dp = _wrna_table(seq, match_of, w_of, positions)
         assert dp.shape == (n + 2, n + 1)
         assert dp.tolist() == wrna_table_py(seq, match_of, w_of)
         res = wrna(u, al, want_pairs=True)
@@ -263,12 +267,15 @@ def test_wrna_unsigned_rows_match_reference():
     ("aAbB", 65534, 1, "uint16", 65535),
     ("aA", 65536, 1, "int32", 65536),
     ("aAbB", 65534, 2, "int32", 65536),
+    ("aA", 2**61, 1, "int64", 2**61),  # refused by a looser rule before
+    ("aA", 2**63 - 1, 1, "int64", 2**63 - 1),  # the largest B of any table
 ])
 def test_wrna_table_width_at_the_16_bit_bounds(table, text, wa, wb, width, value):
     """The bound B, half the total weight, is 65,535 (uint16) or 65,536
-    (int32); the folds of value B reach it exactly, in uint16 at 65,535.
-    Rows whose values may pass 32,767 are built unsigned.  A weight above
-    B belongs to a symbol without a partner."""
+    (int32); the folds of value B reach it exactly, in uint16 at 65,535,
+    and in int64 up to its maximum.  Rows whose values may pass 32,767 are
+    built unsigned.  A weight above B belongs to a symbol without a
+    partner."""
     from slglab.rna import _encode, _wrna_table
 
     al = _pairs(table, [("a", "A", wa), ("b", "B", wb)])
@@ -403,12 +410,15 @@ def _qq(t, weight):
 @pytest.mark.parametrize("call, message", [
     (lambda t: _qq(t, lambda q, qq: {q: -1, qq: -1}), "negative or missing weight for q"),
     (lambda t: _qq(t, lambda q, qq: {qq: 1}), "negative or missing weight for q"),
-    (lambda t: wrna(_s(t, "qQ"), _qq(t, lambda q, qq: {q: 2**61, qq: 2**61})),
+    (lambda t: wrna(_s(t, "qQ"), _qq(t, lambda q, qq: {q: 2**63, qq: 2**63})),
+     "weights too large for 64-bit accumulation"),
+    (lambda t: wrna(_s(t, "q"), _qq(t, lambda q, qq: {q: 2**64, qq: 2**64})),
      "weights too large for 64-bit accumulation"),
     (lambda t: check_decomposition((), t.terminal("a"), (), t.terminal("b"), (),
                                    _pairs(t, [("a", "A", 2), ("b", "B", 1)])),
      "precondition failed: match(a) != b"),
-], ids=["negative-weight", "missing-weight", "weights-past-64-bits", "unmatched-pair"])
+], ids=["negative-weight", "missing-weight", "weights-past-64-bits",
+        "unpaired-weight-past-64-bits", "unmatched-pair"])
 def test_rna_refusals(table, call, message):
     with pytest.raises(RnaError) as e:
         call(table)

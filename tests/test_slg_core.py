@@ -495,13 +495,24 @@ def _total_past_64_bits(t):
     return SLG(rules, t.nonterminal("S"), t)
 
 
+def _serialized_with_head(t, display):
+    """`serialize` of `S -> H a` and `H -> a b`, with H displayed `display`."""
+    a, b, h, s = t.terminal("a"), t.terminal("b"), t.nonterminal(display), t.nonterminal("S")
+    return serialize(SLG({s: (h, a), h: (a, b)}, s, t))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda t: stats(_total_past_64_bits(t)), OverflowError, "total expansion exceeds 64-bit range"),
     (lambda t: deserialize("S -> a\n -> a b\n", t), GrammarParseError, "line 2: empty rule head"),
     (lambda t: deserialize("# nothing\n\n", t), GrammarParseError, "line 1: no rules"),
     (lambda t: (t.nonterminal("x"), deserialize("S -> x y\n", t)), GrammarParseError,
      "line 1: symbol 'x' already interned as nonterminal"),
-], ids=["total-overflow", "empty-head", "no-rules", "kind-clash"])
+    # `X->Y -> a b` would read back as the head X, and `# -> a b` as a comment
+    (lambda t: _serialized_with_head(t, "X->Y"), GrammarError,
+     "rule head X->Y has no text form that reads back"),
+    (lambda t: _serialized_with_head(t, "#"), GrammarError,
+     "rule head # has no text form that reads back"),
+], ids=["total-overflow", "empty-head", "no-rules", "kind-clash", "arrow-head", "comment-head"])
 def test_core_refusals(table, call, error, message):
     with pytest.raises(error) as e:
         call(table)
@@ -553,11 +564,21 @@ def test_fresh_nonterminal_matches_interning_the_first_free_name():
         assert interned(fresh) == interned(ref)
 
 
+class _LowestRandom(random.Random):
+    """Every `randint` draw is its lower bound."""
+
+    def randint(self, a, b):
+        return a
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda t: terminal_alphabet(t, 0), "alphabet size out of range"),
     (lambda t: terminal_alphabet(t, 17), "alphabet size out of range"),
     (lambda t: random_dyadic_slg(random.Random(1), 1, 2, t), "length must be at least 2"),
-], ids=["alphabet-0", "alphabet-17", "dyadic-length-1"])
+    # every body has one symbol, so one nonterminal never expands to two
+    (lambda t: random_slg(_LowestRandom(1), 1, 2, t),
+     "could not draw a grammar with |V| = 1 and expansion >= 2"),
+], ids=["alphabet-0", "alphabet-17", "dyadic-length-1", "no-long-draw"])
 def test_generator_refusals(table, call, message):
     with pytest.raises(ValueError) as e:
         call(table)
