@@ -17,7 +17,7 @@ from itertools import count
 
 from .boost import alpha_sentinel_counts, beta_sentinel_counts
 from .core import SLG, _content_lines, _terminals
-from .symbols import SentinelFamily, Symbol, SymbolTable
+from .symbols import SentinelFamily, Symbol, SymbolError, SymbolTable
 
 DEFAULT_CYK_CAP = 5000
 
@@ -108,15 +108,18 @@ def parse_cfg(text: str, table: SymbolTable) -> CFG:
     if not raw:
         raise CfgError("no rules")
     rules: list[tuple[Symbol, tuple[Symbol, ...]]] = []
-    for _, head, alts in raw:
-        head_sym = table.nonterminal(head)
-        for alt in alts:
-            body = tuple(
-                table.nonterminal(t) if t in heads else table.terminal(t)
-                for t in alt
-                if t != "_"
-            )
-            rules.append((head_sym, body))
+    for line_no, head, alts in raw:
+        try:
+            head_sym = table.nonterminal(head)
+            for alt in alts:
+                body = tuple(
+                    table.nonterminal(t) if t in heads else table.terminal(t)
+                    for t in alt
+                    if t != "_"
+                )
+                rules.append((head_sym, body))
+        except SymbolError as exc:
+            raise CfgError(f"line {line_no}: {exc}") from exc
     return CFG(tuple(rules), table.nonterminal(raw[0][1]))
 
 

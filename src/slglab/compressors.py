@@ -3,7 +3,8 @@
 The global engine (`run_global`) repeatedly replaces a maximal string; the
 nonglobal algorithms process the input online.  Inputs may be plain
 strings (characters become terminals of the given table) or sequences of
-symbols interned in that table; any other symbol is refused.  Every
+terminals interned in that table.  A symbol of another table or a
+nonterminal is refused before anything is minted.  Every
 compressor reads its input through `_input_ids` and works on integer ids;
 `_slg` turns the finished id rules back into symbols once.
 
@@ -86,7 +87,7 @@ def _as_symbols(u, table: SymbolTable) -> tuple[Symbol, ...]:
 
 
 def _input_ids(u, table: SymbolTable) -> tuple[int, ...]:
-    """The ids of a nonempty input whose symbols are all interned in `table`."""
+    """The ids of a nonempty input of terminals all interned in `table`."""
     u = _as_symbols(u, table)
     if not u:
         raise CompressorError("empty input")
@@ -94,6 +95,8 @@ def _input_ids(u, table: SymbolTable) -> tuple[int, ...]:
     for s in {id(s): s for s in u}.values():
         if not table.owns(s):
             raise GrammarError(f"symbol {s.display} is not interned in this table")
+        if not s.is_terminal():
+            raise CompressorError(f"input symbol {s.display} is a nonterminal")
     return tuple(s.id for s in u)
 
 

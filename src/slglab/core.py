@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .symbols import Symbol, SymbolTable, parse_sentinel_display
+from .symbols import Symbol, SymbolError, SymbolTable, parse_sentinel_display
 
 # Expansion lengths are tracked with 64-bit semantics; exceeding this is a
 # hard error instead of silent wraparound.
@@ -450,17 +450,13 @@ def deserialize(text: str, table: SymbolTable) -> SLG:
 
     rules: dict[Symbol, tuple[Symbol, ...]] = {}
     for line_no, head, tokens in parsed:
-        head_sym = table.nonterminal(head)
-        body = []
-        for tok in tokens:
-            try:
-                sym = (
-                    table.nonterminal(tok) if tok in heads else table.terminal(tok)
-                )
-            except ValueError as exc:
-                raise GrammarParseError(str(exc), line_no) from exc
-            body.append(sym)
-        rules[head_sym] = tuple(body)
+        try:
+            rules[table.nonterminal(head)] = tuple(
+                table.nonterminal(tok) if tok in heads else table.terminal(tok)
+                for tok in tokens
+            )
+        except SymbolError as exc:
+            raise GrammarParseError(str(exc), line_no) from exc
     start = table.nonterminal(parsed[0][1])
     try:
         return SLG(rules, start, table)

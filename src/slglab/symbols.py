@@ -3,7 +3,10 @@
 Every grammar value refers to symbols interned in one SymbolTable.  Ids are
 dense small integers for ordinary symbols; the sentinel families used by the
 boosting constructions live in reserved id ranges so that symbols produced by
-independent constructions never collide.
+independent constructions never collide.  Every ordinary symbol, a fresh
+nonterminal included, is minted on one path, `SymbolTable._intern`, which
+refuses an empty display, one holding whitespace and a sentinel's display
+as a nonterminal.
 """
 from __future__ import annotations
 
@@ -94,7 +97,7 @@ class SymbolTable:
         return sym
 
     def _intern(self, display: str, kind: str) -> Symbol:
-        if not display or any(ch.isspace() for ch in display):
+        if display.split() != [display]:
             raise SymbolError(f"bad symbol display {display!r}")
         sent = parse_sentinel_display(display)
         if sent is not None:
@@ -131,10 +134,8 @@ class SymbolTable:
 
     def fresh_nonterminal(self, prefix: str = "N") -> Symbol:
         """A new nonterminal named `prefix` and the first number, past the
-        last one minted for `prefix`, whose name is free.  The name is
-        refused as `nonterminal` would refuse it; a free name needs no
-        other check, so the symbol is minted here, not through `_intern`.
-        The appended digits hold no whitespace, so the prefix is scanned."""
+        last one minted for `prefix`, whose name is free, minted on the one
+        path `nonterminal` takes and refused as it would refuse the name."""
         n = self._fresh_counters.get(prefix, 0)
         while True:
             n += 1
@@ -142,13 +143,7 @@ class SymbolTable:
             if display not in self._by_display:
                 break
         self._fresh_counters[prefix] = n
-        if any(ch.isspace() for ch in prefix):
-            raise SymbolError(f"bad symbol display {display!r}")
-        if parse_sentinel_display(display) is not None:
-            raise SymbolError(f"sentinel {display!r} cannot be a nonterminal")
-        sym = Symbol(self._next_id, NONTERMINAL, display)
-        self._next_id += 1
-        return self._register(sym)
+        return self._intern(display, NONTERMINAL)
 
     def by_id(self, symbol_id: int) -> Symbol:
         return self._by_id[symbol_id]

@@ -418,6 +418,47 @@ def brute_dyadic_distinct(u):
     return seen
 
 
+def _twice_apart(w, s):
+    """Whether `s` has two non-overlapping occurrences in `w`."""
+    first = w.find(s)
+    return first >= 0 and w.find(s, first + len(s)) >= 0
+
+
+def _shortest_parse(s, pieces):
+    """The fewest parts `s` splits into, each a letter or one of `pieces`."""
+    cost = [0]
+    for j in range(1, len(s) + 1):
+        cost.append(1 + min([cost[j - 1]] + [
+            cost[j - len(p)] for p in pieces if s.endswith(p, 0, j)
+        ]))
+    return cost[-1]
+
+
+def smallest_grammar_size(w):
+    """The size of a smallest SLG for the nonempty string `w`, by search.
+
+    A smallest grammar has no rule used once and no rule expanding to fewer
+    than two symbols, so every nonterminal but the start expands to a
+    constituent: a string of length 2 or more, shorter than `w`, with two
+    non-overlapping occurrences in `w`.  A set of k constituents costs the
+    shortest parse of `w` and of each constituent into letters and shorter
+    constituents of the set.  Each constituent's parse has two parts or
+    more, so a set of k costs at least 2k + 1, and the sets are tried in
+    order of size until that bound reaches the best cost found."""
+    n = len(w)
+    substrings = {w[i:j] for i in range(n) for j in range(i + 2, n + 1)}
+    constituents = sorted(s for s in substrings if _twice_apart(w, s))
+    best = n
+    for k in itertools.count(1):
+        if 2 * k + 1 >= best:
+            return best
+        for chosen in itertools.combinations(constituents, k):
+            best = min(best, sum(
+                _shortest_parse(s, [p for p in chosen if len(p) < len(s)])
+                for s in chosen + (w,)
+            ))
+
+
 def wrna_exhaustive(u, alphabet):
     """Plain recursive enumeration of all non-crossing matchings (no memo)."""
     u = tuple(u)

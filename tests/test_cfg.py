@@ -53,8 +53,14 @@ def _start_rule(t, body="a"):
     (lambda t: interleave(parse_cfg("S -> a", t), 0, -1, t), "sentinel budget must be nonnegative"),
     (lambda t: erase_closure(parse_cfg("S -> a $_1", t), [t.sentinel(SentinelFamily.DOLLAR, 1)], t),
      "sentinel set overlaps the grammar alphabet"),
+    (lambda t: (t.terminal("S"), parse_cfg("S -> a", t)),
+     "line 1: symbol 'S' already interned as terminal"),
+    (lambda t: (t.nonterminal("x"), parse_cfg("S -> T\nT -> a | x", t)),
+     "line 2: symbol 'x' already interned as nonterminal"),
+    (lambda t: parse_cfg("S -> a\n$_1 -> b", t), "line 2: sentinel '$_1' cannot be a nonterminal"),
 ], ids=["start-terminal", "start-no-rule", "terminal-head", "body-no-rule", "no-arrow",
-        "bad-head", "no-rules", "negative-budget", "erase-overlap"])
+        "bad-head", "no-rules", "negative-budget", "erase-overlap", "head-kind-clash",
+        "token-kind-clash", "sentinel-head"])
 def test_cfg_refusals(table, call, message):
     with pytest.raises(CfgError) as e:
         call(table)

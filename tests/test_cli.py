@@ -476,3 +476,14 @@ def test_cli_fuzz_exits_0_or_2(grammar, alphabet, points, alg):
                              "--out", out, *extra]) in (0, 2)
         assert main(["compress", "--alg", alg, "--in", paths["in"],
                      "--out", out]) in (0, 2)
+
+
+def test_readme_lists_every_algorithm_and_suite():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+
+    def listed(label):
+        sentence = re.search(rf"^{label}: (.*?)\.(?:\s|$)", readme, re.M | re.S).group(1)
+        return set(re.findall(r"`([^`]+)`", sentence))
+
+    assert listed("Algorithms") == set(_ALGORITHMS)
+    assert listed("Suites") == set(verify.SUITES) | {"all"}

@@ -1,6 +1,7 @@
 """Compressor behavior: definitional examples, oracle agreement, round
 trips, and the concatenation laws."""
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from slglab import (
     serialize,
 )
 from slglab import compressors
+from slglab.cli import _ALGORITHMS
 from slglab.generate import random_admissible_slg, random_matched_alphabet, random_string
 from slglab.symbols import SymbolTable
 
@@ -46,6 +48,7 @@ from conftest import (
     run_global_reference,
     sequential_reference,
     sequitur_reference,
+    smallest_grammar_size,
 )
 
 
@@ -698,5 +701,27 @@ def test_symbols_of_another_table_rejected(compress):
     assert b.chars("xy") == (b.by_id(u[0].id), b.by_id(u[1].id))
     with pytest.raises(GrammarError, match="^symbol a is not interned in this table$"):
         compress(u, b)
+    # a nonterminal of the table is refused before any name is minted
+    x, y = b.nonterminal("X"), b.terminal("y")
+    before = interned(b)
+    with pytest.raises(CompressorError) as e:
+        compress((y, x, y, x), b)
+    assert type(e.value) is CompressorError and str(e.value) == "input symbol X is a nonterminal"
+    assert interned(b) == before
     # a string is always interned into the given table
     assert expand_text(sequential("abab", b)) == "abab"
+
+
+def test_smallest_grammar_size_by_hand():
+    words = ["a", "ab", "aaaa", "aaaaaaaa", "abcabcabc"]
+    assert [smallest_grammar_size(w) for w in words] == [1, 2, 4, 6, 6]
+
+
+def test_no_compressor_beats_the_smallest_grammar():
+    rng = random.Random(16)
+    words = ["".join(t) for n in range(1, 11) for t in itertools.product("01", repeat=n)]
+    words += ["".join(rng.choices("abc", k=rng.randint(1, 9))) for _ in range(200)]
+    for w in words:
+        least = smallest_grammar_size(w)
+        for name, compress in _ALGORITHMS.items():
+            assert compress(w, SymbolTable()).size >= least, (name, w)

@@ -512,7 +512,10 @@ def _serialized_with_head(t, display):
      "rule head X->Y has no text form that reads back"),
     (lambda t: _serialized_with_head(t, "#"), GrammarError,
      "rule head # has no text form that reads back"),
-], ids=["total-overflow", "empty-head", "no-rules", "kind-clash", "arrow-head", "comment-head"])
+    (lambda t: (t.terminal("S"), deserialize("S -> a", t)), GrammarParseError,
+     "line 1: symbol 'S' already interned as terminal"),
+], ids=["total-overflow", "empty-head", "no-rules", "kind-clash", "arrow-head", "comment-head",
+        "head-kind-clash"])
 def test_core_refusals(table, call, error, message):
     with pytest.raises(error) as e:
         call(table)
@@ -534,6 +537,32 @@ def test_symbol_table_refusals(table, call, message):
     with pytest.raises(SymbolError) as e:
         call(table)
     assert type(e.value) is SymbolError and str(e.value) == message
+
+
+# Every code point for which `str.isspace()` is true, tab through U+3000.
+_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(
+    map(chr, [*range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
+)
+
+
+def test_display_whitespace_rule_on_every_space():
+    assert len(_SPACES) == 29 and all(ch.isspace() for ch in _SPACES)
+    for ch in _SPACES:
+        t = SymbolTable()
+        for call, arg, display in [(t.terminal, f"a{ch}", f"a{ch}"),
+                                   (t.nonterminal, f"{ch}b", f"{ch}b"),
+                                   (t.fresh_nonterminal, f"a{ch}b", f"a{ch}b1")]:
+            with pytest.raises(SymbolError) as e:
+                call(arg)
+            assert type(e.value) is SymbolError
+            assert str(e.value) == f"bad symbol display {display!r}"
+        assert interned(t) == []
+    # zero-width space, byte order mark and soft hyphen are not spaces
+    t = SymbolTable()
+    for ch in "\u200b\ufeff\xad":
+        assert t.terminal(f"a{ch}").display == f"a{ch}"
+        assert t.nonterminal(f"N{ch}").display == f"N{ch}"
+        assert t.fresh_nonterminal(f"F{ch}").display == f"F{ch}1"
 
 
 def test_fresh_nonterminal_matches_interning_the_first_free_name():
