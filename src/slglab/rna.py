@@ -3,10 +3,13 @@ alphabets, plus the structural identities used by the boosting checks.
 
 One numpy interval-DP kernel (cubic, Nussinov-style), `_wrna_table`, fills
 the table that both the folding value and the witness traceback read; its
-docstring gives the row scheme.  The table is the narrowest of uint16,
-int32 and int64 that holds `B`, half the total weight of the positions,
-and an input whose `B` none of them holds is refused: that is the one
-weight rule.  The traceback tests all the partners of a symbol inside an
+docstring gives the row scheme.  Before a row's gathered max, the kernel
+drops the partners that two exact dominance rules show can win no column
+(as in sparse RNA folding; the proof is in its docstring), on rows whose
+partners fill more than one gather block.  The table is the narrowest of
+uint16, int32 and int64 that holds `B`, half the total weight of the
+positions, and an input whose `B` none of them holds is refused: that is
+the one weight rule.  The traceback tests all the partners of a symbol inside an
 interval with one numpy comparison.  Both read one array of positions per
 symbol.  Inputs beyond a configurable length cap are refused.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _content_lines
-from .symbols import Symbol, SymbolTable
+from .symbols import Symbol, SymbolError, SymbolTable
 
 DEFAULT_LENGTH_CAP = 3000
 
@@ -113,6 +116,8 @@ def parse_matched_alphabet(text: str, table: SymbolTable) -> MatchedAlphabet:
             a = table.terminal(left.strip())
             b = table.terminal(right.strip())
             w = int(w_part.strip())
+        except SymbolError as exc:
+            raise RnaError(f"line {line_no}: {exc}") from exc
         except ValueError as exc:
             raise RnaError(f"line {line_no}: bad alphabet line {line!r}") from exc
         for s in (a, b):
@@ -173,7 +178,8 @@ def _encode(u, alphabet: MatchedAlphabet):
 
 
 # Cells of one partner block gathered at once; bounds the scratch memory of
-# a row whatever the number of partners.
+# a row whatever the number of partners.  A row whose partners fill more than
+# one block is pruned before it is gathered.
 _GATHER_CELLS = 1 << 16
 
 
@@ -196,16 +202,30 @@ def _wrna_table(seq, match_of, w_of, positions):
     (position `i` left unpaired).  Then one gathered max over the
     occurrences `K` of `match(seq[i])` after `i` raises the columns
     `j >= K[0]` to `w + dp[i+1, k-1] + dp[k+1, j]`, the best over `k` in
-    `K`, in blocks of at most `_GATHER_CELLS` cells.  A partner `k > j`
-    reads `dp[k+1, j]`, below the diagonal `j = r-1` of empty intervals.
-    While the table is built those cells hold minus the maximum of the
-    signed view of the dtype (int16 for uint16); a constant is between 0
-    and that maximum, so such a candidate is never positive and never
-    overflows.  A row of a uint16 table whose values may pass that maximum
-    -- it has a partner and `dp[i+1, n-1] + w` does -- is built unsigned,
-    and so is every row above it: there a fill would collide with a value,
-    so the cells `j < k` of each partner `k` are zeroed in the gathered
-    block instead.  The final clamp of the signed rows and the zeroing of
+    `K`, in blocks of at most `_GATHER_CELLS` cells.
+
+    A row whose partners fill more than one block first drops each partner
+    that wins no column.  Let `c_k = w + dp[i+1, k-1]`, and `k' < k` be
+    consecutive in `K`.  The below rule drops `k` if `c_k <= dp[i+1, k]`,
+    the chain rule if `c_k <= c_k' + dp[k'+1, k]`.  By superadditivity,
+    `dp[a, b] + dp[b+1, c] <= dp[a, c]`, in every column `j >= k` the
+    candidate `c_k + dp[k+1, j]` is then at most `dp[i+1, j]`, or at most
+    the candidate of `k'`, itself kept or dropped by the same argument: so
+    the row, and every witness read from the table, is unchanged.  Each sum
+    is the value of a folding of `seq[i..k]`, so it fits the table's dtype
+    as the constants do.  Rows under one block are not pruned: on the short
+    strings of the verify suites the extra numpy calls per row cost more
+    than the cells they save.
+
+    A partner `k > j` reads `dp[k+1, j]`, below the diagonal `j = r-1` of
+    empty intervals.  While the table is built those cells hold minus the
+    maximum of the signed view of the dtype (int16 for uint16); a constant
+    is between 0 and that maximum, so such a candidate is never positive
+    and never overflows.  A row of a uint16 table whose values may pass
+    that maximum -- it has a partner and `dp[i+1, n-1] + w` does -- is
+    built unsigned, and so is every row above it: there a fill would
+    collide with a value, so the cells `j < k` of each partner `k` are
+    zeroed in the gathered block instead.  The final clamp of the signed rows and the zeroing of
     the unsigned rows' lower triangle set the cells below the diagonal
     back to zero.
     """
@@ -222,6 +242,19 @@ def _wrna_table(seq, match_of, w_of, positions):
     for r in range(2, n + 2):
         signed[r, : r - 1] = -top
     cols = np.arange(n + 1)
+
+    def gather(table, row, block, const, masked):
+        """Raise `row[k0:n]` to the best candidate of the partners in
+        `block`, `k0` the first; `masked` zeroes the cells `j < k`."""
+        k0 = int(block[0])
+        cand = table[block + 1, k0:n]
+        cand += const[:, None]
+        if masked:
+            span = int(block[-1]) - k0
+            cand[:, :span] *= cols[:span] >= (block - k0)[:, None]
+        tail = row[k0:n]
+        np.maximum(tail, cand.max(axis=0), out=tail)
+
     # after[c]: the occurrences of code c after the current row
     after = [0] * len(match_of)
     # the rows below `unsigned_to` are built unsigned; 0 while none is
@@ -237,20 +270,26 @@ def _wrna_table(seq, match_of, w_of, positions):
         table = dp if unsigned_to else signed
         row, below = table[i], table[i + 1]
         row[i:n] = below[i:n]
+        if t == len(ks):
+            continue
+        ks = ks[t:]
+        # In place, so in the table's dtype; w <= B, as i has a partner,
+        # and a signed row has w <= top.
+        const = below[ks - 1]
+        const += w
+        if len(ks) * (n - int(ks[0])) <= _GATHER_CELLS:
+            gather(table, row, ks, const, unsigned_to)
+            continue
+        # Each sum is a folding of seq[i..k]: at most B, and at most top in
+        # a signed row.
+        keep = const > below[ks]
+        keep[1:] &= const[1:] > const[:-1] + table[ks[:-1] + 1, ks[1:]]
+        ks, const = ks[keep], const[keep]
+        t = 0
         while t < len(ks):
-            k0 = int(ks[t])
-            block = ks[t : t + max(1, _GATHER_CELLS // (n - k0))]
-            # In place, so in the table's dtype; w <= B, as i has a partner,
-            # and a signed row has w <= top.
-            const = below[block - 1]
-            const += w
-            cand = table[block + 1, k0:n]
-            cand += const[:, None]
-            if unsigned_to:
-                span = int(block[-1]) - k0
-                cand[:, :span] *= cols[:span] >= (block - k0)[:, None]
-            np.maximum(row[k0:n], cand.max(axis=0), out=row[k0:n])
-            t += len(block)
+            size = max(1, _GATHER_CELLS // (n - int(ks[t])))
+            gather(table, row, ks[t : t + size], const[t : t + size], unsigned_to)
+            t += size
     np.maximum(signed[unsigned_to:], 0, out=signed[unsigned_to:])
     for r in range(2, unsigned_to):
         dp[r, : r - 1] = 0

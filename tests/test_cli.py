@@ -221,6 +221,20 @@ def test_boost_rejects_bad_alphabets(tmp_path, g0_file, capsys, kind, content, m
     assert not (tmp_path / "x.text").exists()
 
 
+def test_boost_alphabet_naming_a_nonterminal_exits_2(tmp_path, capsys):
+    grammar = tmp_path / "g.txt"
+    grammar.write_text("S -> A b\nA -> a b\n")
+    alpha_file = tmp_path / "al.txt"
+    alpha_file.write_text("# b pairs with the nonterminal A\nb ~ A : 2\n")
+    prefix = str(tmp_path / "x")
+    assert main(["boost", "--kind", "rna-alpha", "--grammar", str(grammar),
+                 "--alphabet", str(alpha_file), "--out", prefix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: symbol 'A' already interned as nonterminal\n"
+    assert not (tmp_path / "x.text").exists()
+
+
 def test_boost_rna_kinds_and_raw(tmp_path, g0_file, capsys):
     alpha_file = tmp_path / "al.txt"
     alpha_file.write_text("a ~ a' : 2\nb ~ b' : 1\n")

@@ -157,12 +157,17 @@ def test_generated_alphabets_round_trip():
         ("a ~ b : 1\n# c\na ~ b : 1\n", "line 3: a is already paired on line 1"),
         ("a ~ b : 1\nc ~ b : 1\n", "line 2: b is already paired on line 1"),
         ("a ~ b~ ~ : 1\n", "line 1: bad alphabet line 'a ~ b~ ~ : 1'"),
+        # a symbol refusal keeps its own message, with the line
+        ("a ~ b : 1\nc ~ A : 2\n", "line 2: symbol 'A' already interned as nonterminal"),
+        ("a b ~ c : 1\n", "line 1: bad symbol display 'a b'"),
     ],
 )
 def test_alphabet_parse_errors(text, message):
+    table = SymbolTable()
+    table.nonterminal("A")
     with pytest.raises(RnaError) as exc:
-        parse_matched_alphabet(text, SymbolTable())
-    assert str(exc.value) == message
+        parse_matched_alphabet(text, table)
+    assert type(exc.value) is RnaError and str(exc.value) == message
 
 
 def test_dp_matches_exhaustive_search():
@@ -175,7 +180,7 @@ def test_dp_matches_exhaustive_search():
         assert wrna(u, al).value == wrna_exhaustive(u, al)
 
 
-def test_jit_kernel_matches_python_dp():
+def test_numpy_kernel_matches_python_dp():
     """The numpy folding kernel fills the same full table as the
     pure-Python DP for lengths 2 to 120, and the witness read back from
     that table is valid."""
@@ -198,7 +203,7 @@ def test_jit_kernel_matches_python_dp():
 
 def _reaches_chunks(u, al):
     """Whether some row's block of partners after it spans more cells than
-    one gather takes."""
+    one gather takes: the rows that the kernel prunes."""
     from slglab.rna import _GATHER_CELLS
 
     n = len(u)
@@ -253,6 +258,90 @@ def test_wrna_unsigned_rows_match_reference():
     assert dp.tolist() == table.tolist()
     res = wrna(u, al, want_pairs=True)
     assert (res.value, res.pairs) == (value, witness)
+
+
+def _dominance_drops(table, u, al):
+    """Partners that the below rule and the chain rule each drop, read off
+    the full int64 table: `(below, chain)` counts over all rows."""
+    below_drops = chain_drops = 0
+    n = len(u)
+    for i, s in enumerate(u):
+        ks = [k for k in range(i + 1, n) if u[k] == al.match[s]]
+        const = [al.weight[s] + int(table[i + 1, k - 1]) for k in ks]
+        below_drops += sum(c <= table[i + 1, k] for c, k in zip(const, ks))
+        chain_drops += sum(const[m] <= const[m - 1] + table[ks[m - 1] + 1, ks[m]]
+                           for m in range(1, len(ks)))
+    return below_drops, chain_drops
+
+
+def test_pruned_kernel_matches_reference_on_boosted_strings(monkeypatch):
+    """With one-cell gathers every row with a partner past the next column
+    is pruned by the two dominance rules; on boosted strings of 100-400
+    symbols the table, value and witness are still the per-pair kernel's,
+    on uint16 tables with signed rows only and with unsigned rows, int32
+    and int64."""
+    import slglab.rna as rna_module
+
+    monkeypatch.setattr(rna_module, "_GATHER_CELLS", 1)
+    rng = random.Random(271)
+    kinds, drops = set(), [0, 0]
+    for nonterms, sigma, max_weight in [(4, 12, 3), (5, 14, 40), (4, 12, 400),
+                                        (5, 14, 10**5), (5, 14, 10**9)]:
+        t = SymbolTable()
+        alphabet = random_matched_alphabet(rng, 3, max_weight, t)
+        g = random_admissible_slg(rng, nonterms, 3, 2 * sigma, t)
+        for build in (rna_alpha, rna_beta, gamma):
+            r = build(g, alphabet)
+            assert 100 <= len(r.text) <= 400
+            table, value, witness = wrna_reference(r.text, r.alphabet)
+            dp = rna_module._wrna_table(*rna_module._encode(r.text, r.alphabet))
+            assert dp.dtype == _width(r.alphabet, r.text)
+            assert dp.tolist() == table.tolist()
+            res = wrna(r.text, r.alphabet, want_pairs=True)
+            assert (res.value, res.pairs) == (value, witness)
+            # a value past 2**15 - 1 makes the top rows of a uint16 table unsigned
+            unsigned = dp.dtype.name == "uint16" and value >= 2**15
+            kinds.add(dp.dtype.name + " with unsigned rows" * unsigned)
+            for m, d in enumerate(_dominance_drops(table, r.text, r.alphabet)):
+                drops[m] += d
+    assert kinds == {"uint16", "uint16 with unsigned rows", "int32", "int64"}
+    assert min(drops) > 0
+
+
+@pytest.mark.parametrize("text, w, value, pairs", [
+    # Positions 0-based, witness pairs 1-based; every row is pruned.
+    # Partners 1 and 2 of row 0 tie, c_2 = 1 = c_1 + dp[2, 2]: the chain
+    # rule drops 2, and the witness still pairs the first.
+    ("aAA", 1, 1, ((1, 2),)),
+    # adjacent partners 2 and 3 = n - 1 of row 0: the chain rule drops 3
+    ("abAA", 1, 1, ((1, 3),)),
+    # the below rule drops partner 2 = n - 1 of row 0: c_2 = 1 <= dp[1, 2]
+    ("aaA", 1, 1, ((2, 3),)),
+    # the below rule drops row 0's first partner, 2; partner 3 wins
+    ("aaAA", 1, 2, ((1, 4), (2, 3))),
+    # the chain rule reads dp[k' + 1, k]: for row 0, k' = 2 and k = 6,
+    # dp[k', k] would also count the pair (3, 4), which starts at k', and
+    # drop k = 6, which wins
+    ("abAaaBA", 1, 3, ((1, 7), (2, 6), (3, 4))),
+    ("aA", 1, 1, ((1, 2),)),  # n = 2
+    ("aa", 1, 0, ()),
+    # the chain rule drops partners 3 and 5 of row 0
+    ("aAaAaA", 3, 9, ((1, 2), (3, 4), (5, 6))),
+    # rows built unsigned, with their values past 2**15
+    ("aAaAaA", 16384, 49152, ((1, 2), (3, 4), (5, 6))),
+    ("aAAaA", 20000, 40000, ((1, 2), (4, 5))),
+])
+def test_dominance_rules_edge_cases(table, monkeypatch, text, w, value, pairs):
+    import slglab.rna as rna_module
+
+    monkeypatch.setattr(rna_module, "_GATHER_CELLS", 1)
+    al = _pairs(table, [("a", "A", w), ("b", "B", 1)])
+    u = _s(table, text)
+    ref, ref_value, ref_pairs = wrna_reference(u, al)
+    dp = rna_module._wrna_table(*rna_module._encode(u, al))
+    assert dp.tolist() == ref.tolist()
+    res = wrna(u, al, want_pairs=True)
+    assert (res.value, res.pairs) == (ref_value, ref_pairs) == (value, pairs)
 
 
 @pytest.mark.parametrize("text, wa, wb, width, value", [
@@ -458,11 +547,12 @@ def test_fold_outputs_are_pinned():
     # strings of seeded grammars: strings of 131 to 1,920 symbols, four
     # of them over 1,000, and weights whose half-total bound needs each of
     # uint16, int32 and int64; one uint16 fold, of value 57,652, builds its
-    # top rows unsigned.  A change that keeps every output keeps this
-    # digest.
+    # top rows unsigned.  The two rna_beta strings over 1,000 symbols have
+    # rows whose partners span more than one gather, so the digest covers
+    # the pruned rows.  A change that keeps every output keeps this digest.
     rng = random.Random(263)
     digest = hashlib.sha256()
-    widths, long_strings = set(), 0
+    widths, long_strings, pruned = set(), 0, set()
     for nonterms, sigma, max_weight in [(4, 30, 3), (8, 80, 4), (12, 80, 40),
                                         (16, 150, 4), (10, 70, 10**6), (6, 40, 10**8)]:
         t = SymbolTable()
@@ -474,6 +564,10 @@ def test_fold_outputs_are_pinned():
             digest.update(f"{len(r.text)} {res.value} {res.pairs}\n".encode())
             widths.add(_width(r.alphabet, r.text))
             long_strings += len(r.text) > 1000
+            if build is rna_beta and len(r.text) > 1000 and _reaches_chunks(r.text, r.alphabet):
+                pruned.add(len(r.text))
     assert widths == {"uint16", "int32", "int64"} and long_strings >= 4
+    # the two long rna_beta strings have rows that the dominance rules prune
+    assert pruned == {1920, 1456}
     assert digest.hexdigest() == (
         "1a05504a9d1b12e92c42ae5b9e62f95de6d2a4b1c3f673c8dbb461ff379784fc")
