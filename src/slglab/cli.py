@@ -52,21 +52,31 @@ class CliError(Exception):
     pass
 
 
+def _decode(data: bytes, source: str) -> str:
+    """`data` as UTF-8 text with universal newlines, as `open` reads text."""
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {source}: not UTF-8 at byte {exc.start}") from exc
+
+
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return _decode(fh.read(), path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_input(path: str) -> str:
-    data = sys.stdin.read() if path == "-" else _read_file(path)
-    if data.endswith("\n"):
-        data = data[:-1]
-    if not data:
-        raise CliError("empty input")
-    return data
+    """The text of the file `path`, or of standard input for `-`, less one final newline."""
+    if path != "-":
+        data = _read_file(path)
+    elif hasattr(sys.stdin, "buffer"):
+        data = _decode(sys.stdin.buffer.read(), "standard input")
+    else:  # a text stream with no bytes under it, such as a StringIO
+        data = sys.stdin.read()
+    return data.removesuffix("\n")
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -44,18 +44,18 @@ append to the start rule.  They differ only in what they append.  Sequitur
 appends the next input symbol.  Sequential appends the longest live
 secondary whose expansion the rest of the input starts with (Kieffer and
 Yang, IEEE Trans. IT 2000), or the next symbol if there is none.  No
-reduction rescans the grammar.  An index counts every adjacent pair of
-every body by host rule, every use of a secondary by host rule and the
-secondaries used at most once, and each change updates it at the positions
-it touched.  Each reduction is one lookup, and secondary ids grow in
-creation order:
+reduction rescans the grammar.  An index lists the host rule of each
+occurrence of every adjacent pair and of each use of every secondary, and
+the secondaries used at most once; each change updates it where it touched
+a body.  Each reduction is one lookup, and secondary ids grow in creation
+order:
 
 1. A suffix digram that is the body of a secondary becomes the smallest
    such secondary: a host of the digram whose body has two symbols.
-2. A suffix digram that repeats gets a new rule: its count, less the suffix
-   itself and less the occurrence that overlaps the suffix when the last
-   three symbols are equal, is positive.  Only the hosts the index lists
-   are rewritten, left to right without overlap.
+2. A suffix digram that repeats gets a new rule: an occurrence is left
+   after leaving out the suffix itself, and the one that overlaps the
+   suffix when the last three symbols are equal.  Only the hosts the
+   index lists are rewritten, left to right without overlap.
 3. The smallest secondary used at most once is dropped if unused, or
    spliced into its one host.
 
@@ -532,13 +532,13 @@ class _OnlineGrammar:
     its reductions look up.
 
     `rules` holds the start rule and then the secondaries in creation
-    order.  The index counts every adjacent pair of every body, overlapping
-    pairs included (`pairs`: digram -> {host: count}), every use of a
-    secondary (`uses`: secondary -> {host: uses}; its keys are the live
-    secondaries) and the secondaries used at most once (`rare`).  Every
-    change to a body is a `splice`, which recounts the index only where the
-    body changed.  A trie of the secondaries' expansions is fed with each
-    new rule when `feed` is set."""
+    order.  The index lists one host per occurrence: `pairs` maps each
+    adjacent pair of every body, overlapping pairs included, to the rule
+    that holds each of its occurrences, and `uses` maps each live secondary
+    to the rule that holds each of its uses.  `rare` holds the secondaries
+    with fewer than two uses.  Every change to a body is a `splice`, which
+    updates the index only where the body changed.  A trie of the
+    secondaries' expansions is fed with each new rule when `feed` is set."""
 
     def __init__(self, table: SymbolTable, prefix: str, feed: bool):
         self.table = table
@@ -546,56 +546,48 @@ class _OnlineGrammar:
         self.start_body: list[int] = []
         self.rules: dict[int, list[int]] = {self.start: self.start_body}
         self.prefix = prefix
-        self.pairs: dict[tuple[int, int], dict[int, int]] = {}
-        self.uses: dict[int, dict[int, int]] = {}
+        self.pairs: dict[tuple[int, int], list[int]] = {}
+        self.uses: dict[int, list[int]] = {}
         self.rare: set[int] = set()
         self.exps: dict[int, tuple[int, ...]] | None = {} if feed else None
         self.children: dict[tuple[int, int], int] = {}
         self.ref: list[int | None] = [None]
 
-    def _count(self, host: int, i: int, j: int, delta: int) -> None:
-        """Count `delta` (1 or -1) more in the index for body[i:j] of `host`:
-        each pair that touches it and each use of a secondary in it."""
-        body = self.rules[host]
-        pairs = self.pairs
-        for k in range(max(i - 1, 0), min(j, len(body) - 1)):
-            d = (body[k], body[k + 1])
-            hosts = pairs.get(d)
-            if hosts is None:
-                pairs[d] = {host: delta}
-                continue
-            c = hosts.get(host, 0) + delta
-            if c:
-                hosts[host] = c
-            else:
-                del hosts[host]
-                if not hosts:
-                    del pairs[d]
-        uses, rare = self.uses, self.rare
-        for k in range(i, j):
-            hosts = uses.get(body[k])
-            if hosts is None:
-                continue  # a symbol of the input
-            c = hosts.get(host, 0) + delta
-            if c:
-                hosts[host] = c
-            else:
-                del hosts[host]
-            if len(hosts) > 1 or sum(hosts.values()) > 1:
-                rare.discard(body[k])
-            else:
-                rare.add(body[k])
-
     def splice(self, host: int, i: int, j: int, seq) -> None:
-        """Replace body[i:j] of `host` by `seq`."""
-        self._count(host, i, j, -1)
-        self.rules[host][i:j] = seq
-        self._count(host, i, i + len(seq), 1)
+        """Replace body[i:j] of `host` by `seq`: the pairs of the window
+        around the change and the uses that leave it go, the new ones come."""
+        body = self.rules[host]
+        lo = max(i - 1, 0)
+        old, gone = body[lo : j + 1], body[i:j]
+        body[i:j] = seq
+        new = body[lo : i + len(seq) + 1]
+        pairs, uses, rare = self.pairs, self.uses, self.rare
+        for d in zip(old, old[1:]):
+            hosts = pairs[d]
+            hosts.remove(host)
+            if not hosts:
+                del pairs[d]
+        for d in zip(new, new[1:]):
+            pairs.setdefault(d, []).append(host)
+        # Every removal before every addition, so that the last `rare` update
+        # of a secondary that both leaves and comes back sees its final count.
+        for x in gone:
+            hosts = uses.get(x)
+            if hosts is not None:  # else a symbol of the input
+                hosts.remove(host)
+                if len(hosts) < 2:
+                    rare.add(x)
+        for x in seq:
+            hosts = uses.get(x)
+            if hosts is not None:
+                hosts.append(host)
+                if len(hosts) > 1:
+                    rare.discard(x)
 
     def new_rule(self, body: tuple[int, int]) -> int:
         head = self.table.fresh_nonterminal(self.prefix).id
         self.rules[head] = []
-        self.uses[head] = {}
+        self.uses[head] = []
         self.rare.add(head)
         self.splice(head, 0, 0, body)
         if self.exps is not None:
@@ -609,7 +601,8 @@ class _OnlineGrammar:
         """Replace the greedy left-to-right non-overlapping occurrences of
         `d` by `new` in every body that holds `d`, except `new`'s own."""
         pattern = list(d)
-        for host in list(self.pairs[d]):
+        # Each host is rewritten on its own, so their order changes no body.
+        for host in dict.fromkeys(self.pairs[d]):
             if host == new:
                 continue
             # From the right: a splice shortens the body past its start.
@@ -621,17 +614,14 @@ class _OnlineGrammar:
         """Drop the secondary `head`, used at most once, splicing its body
         into its one use if it has one."""
         definition = self.rules[head]
-        hosts = self.uses.pop(head)
-        self.rare.discard(head)
+        hosts = self.uses[head]
         if hosts:
             (host,) = hosts
             i = self.rules[host].index(head)
             self.splice(host, i, i + 1, definition)
         self.splice(head, 0, len(definition), ())
-        del self.rules[head]
-
-    def to_slg(self) -> SLG:
-        return _slg(self.rules, self.start, self.table)
+        del self.rules[head], self.uses[head]
+        self.rare.discard(head)
 
 
 def _online(u, table: SymbolTable, prefix: str, feed: bool) -> SLG:
@@ -652,7 +642,7 @@ def _online(u, table: SymbolTable, prefix: str, feed: bool) -> SLG:
         pos += length
         while _reduce(st):
             pass
-    return st.to_slg()
+    return _slg(st.rules, st.start, table)
 
 
 def _reduce(st: _OnlineGrammar) -> bool:
@@ -662,14 +652,12 @@ def _reduce(st: _OnlineGrammar) -> bool:
         d = (body[-2], body[-1])
         hosts = st.pairs[d]
         # 1. The suffix equals the body of a secondary: the first created.
-        # The start rule is one host, so this needs a second one.
-        if len(hosts) > 1:
-            heads = [h for h in hosts if h != st.start and len(st.rules[h]) == 2]
-            if heads:
-                st.splice(st.start, len(body) - 2, len(body), (min(heads),))
-                return True
+        heads = [h for h in hosts if h != st.start and len(st.rules[h]) == 2]
+        if heads:
+            st.splice(st.start, len(body) - 2, len(body), (min(heads),))
+            return True
         # 2. The suffix repeats: another occurrence that does not overlap it.
-        others = sum(hosts.values()) - 1
+        others = len(hosts) - 1
         if len(body) >= 3 and body[-3] == d[0] == d[1]:
             others -= 1
         if others > 0:

@@ -3,9 +3,12 @@ byte-determinism of verification reports."""
 import hashlib
 import importlib
 import io
+import os
 import pkgutil
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -56,12 +59,59 @@ def test_compress_reads_stdin(capsys, monkeypatch):
     assert "size=4" in out and "B1 ->" in out
 
 
-def test_compress_empty_input(tmp_path, capsys):
+def _stdin_bytes(monkeypatch, data: bytes) -> None:
+    """Feed `data` to a stdin made as the interpreter makes its own on POSIX."""
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n")
+    monkeypatch.setattr("sys.stdin", stream)
+
+
+def test_stdin_and_file_read_the_same_text(tmp_path, capsys, monkeypatch):
+    # Universal newlines on both paths: a CRLF text compresses as an LF one.
+    src = tmp_path / "in.txt"
+    outs = []
+    for data in (b"abab\n", b"abab\r\n"):
+        src.write_bytes(data)
+        assert main(["compress", "--alg", "repair", "--in", str(src)]) == 0
+        outs.append(capsys.readouterr().out)
+        _stdin_bytes(monkeypatch, data)
+        assert main(["compress", "--alg", "repair", "--in", "-"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 4 and "R1 -> a b" in outs[0]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["compress", "--alg", "repair", "--in", "{bad}"], b"\xff\xfeab"),
+    (["compress", "--alg", "repair", "--in", "{bad}"], b"ab\xc3"),
+    (["boost", "--kind", "alpha", "--grammar", "{bad}", "--out", "{tmp}/o"], b"S -> a \xff\n"),
+    (["boost", "--kind", "gamma", "--grammar", "{g0}", "--alphabet", "{bad}", "--out", "{tmp}/o"],
+     b"a a~ 1\n\x80"),
+    (["boost", "--kind", "answer", "--points", "{bad}", "--out", "{tmp}/o"], b"m 2\n1 \xe9\n"),
+], ids=["in-first-byte", "in-cut-sequence", "grammar", "alphabet", "points"])
+def test_invalid_utf8_names_the_file_and_the_byte(tmp_path, g0_file, capsys, argv, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    start = next(i for i in range(len(content)) if content[i] >= 0x80)
+    argv = [a.format(bad=bad, tmp=tmp_path, g0=g0_file) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot read {bad}: not UTF-8 at byte {start}\n"
+
+
+@pytest.mark.parametrize("content, start", [(b"\xff\xfeab", 0), (b"ab\xc3\n", 2)])
+def test_invalid_utf8_on_stdin_is_refused(capsys, monkeypatch, content, start):
+    _stdin_bytes(monkeypatch, content)
+    assert main(["compress", "--alg", "repair", "--in", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot read standard input: not UTF-8 at byte {start}\n"
+
+
+@pytest.mark.parametrize("alg", sorted(_ALGORITHMS))
+def test_compress_empty_input(tmp_path, capsys, alg):
     src = tmp_path / "in.txt"
     src.write_text("\n")
-    code = main(["compress", "--alg", "lz78", "--in", str(src)])
+    code = main(["compress", "--alg", alg, "--in", str(src)])
     assert code == 2
-    assert "empty input" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: empty input\n")
 
 
 def test_compress_unknown_algorithm(tmp_path):
@@ -318,6 +368,20 @@ def test_verify_all_stream_is_pinned(capsys, monkeypatch, seed, digest):
     assert main(["verify", "--suite", "all", "--trials", "5", "--seed", seed]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_stream_does_not_depend_on_the_hash_seed():
+    # Symbols hash their display strings, so set order changes between
+    # processes; the verdicts must not.
+    src = os.path.dirname(os.path.dirname(slglab.__file__))
+    argv = [sys.executable, "-m", "slglab.cli", "verify", "--suite", "all", "--seed", "0", "--trials", "3"]
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env.pop("SLGLAB_SEED", None)
+        outs.append(subprocess.run(argv, env=env, check=True, capture_output=True).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith(b" failed=0\n")
 
 
 def test_verify_env_seed_override(capsys, monkeypatch):

@@ -3,6 +3,7 @@ trips, and the concatenation laws."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -513,6 +514,64 @@ def test_online_match_reference_on_boosted_answer_string():
         assert got.size == 7 * len(g1.rules) == 490
         assert serialize(got) == serialize(reference(v2, g2.table)), online.__name__
         assert interned(g1.table) == interned(g2.table), online.__name__
+
+
+def _recount(st):
+    """The index of an online state recounted from its bodies, with each
+    host list as a multiset."""
+    uses = {h: Counter() for h in st.rules if h != st.start}
+    pairs = {}
+    for host, body in st.rules.items():
+        for d in zip(body, body[1:]):
+            pairs.setdefault(d, Counter())[host] += 1
+        for x in body:
+            if x in uses:
+                uses[x][host] += 1
+    rare = {x for x, hosts in uses.items() if hosts.total() < 2}
+    return pairs, uses, rare
+
+
+def _online_index_inputs():
+    """Seeded binary texts, one-letter runs, periodic texts and alpha
+    strings, each with the table it is interned in."""
+    for seed in range(12):
+        t = SymbolTable()
+        yield random_string(random.Random(seed), 40 + 20 * seed, 2, t), t
+    for n in range(1, 41):
+        yield "a" * n, SymbolTable()
+    for seed in range(6):
+        rng, t = random.Random(seed), SymbolTable()
+        yield random_string(rng, 3 + seed, 3, t) * 12, t
+    for seed in range(12):
+        rng, t = random.Random(seed), SymbolTable()
+        yield alpha(random_admissible_slg(rng, rng.randint(1, 6), 2, 40, t)).text, t
+
+
+def test_online_index_matches_a_recount(monkeypatch):
+    """After every splice the occurrence lists equal a recount from the
+    bodies, and every new rule rewrites exactly two occurrences."""
+    state = compressors._OnlineGrammar
+    splice, replace_digram = state.splice, state.replace_digram
+    splices, creations = [0], []
+
+    def checked_splice(self, host, i, j, seq):
+        splice(self, host, i, j, seq)
+        splices[0] += 1
+        index = ({d: Counter(h) for d, h in self.pairs.items()},
+                 {x: Counter(h) for x, h in self.uses.items()}, self.rare)
+        assert index == _recount(self)
+
+    def counted_replace(self, d, new):
+        replace_digram(self, d, new)
+        creations.append(len(self.uses[new]))
+
+    monkeypatch.setattr(state, "splice", checked_splice)
+    monkeypatch.setattr(state, "replace_digram", counted_replace)
+    for online in (sequential, sequitur):
+        for u, t in _online_index_inputs():
+            online(u, t)
+    assert splices[0] > 10_000 and len(creations) > 1_000
+    assert creations == [2] * len(creations)
 
 
 def test_sequitur_examples(table):
