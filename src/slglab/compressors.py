@@ -26,17 +26,20 @@ the smaller id sequence:
   once L * L >= total, and the walk stops at the first such length whose
   bound is no better than the best score found.
 
-A pick returns a plateau: every string tied at the winning key, sorted by
-ids, and the count each must still reach.  `run_global` takes them in
-order.  One scan of the bodies finds each one's occurrences, which are
-replaced if there are still enough of them; otherwise the string is
-skipped.  The engine picks again only when the plateau is spent.  This is
-exact: after a replacement, every string at the plateau's key was already
-on the plateau, so the string the strategy would take next is the next
-one on it that still has its count.  `_pick_repair` and `_pick_longest`
-prove this for their keys.  Greedy's plateau is one string long: a string
-that holds the new nonterminal can outscore Greedy's runner-up, so Greedy
-picks again after every replacement.
+A pick returns a plateau: the strings to take in order, each with every
+start it has in the separator-joined bodies the pick searched and the
+count it must still reach.  For RePair and LongestMatch that is every
+string tied at the winning key, sorted by ids.  For Greedy it is the best
+string and, when the walk can certify it, the runner-up by Greedy's key.
+`_take` takes a whole plateau in one pass over those starts.  It marks
+each replaced span dead, takes a string at its greedy left-to-right
+starts whose span holds no dead position if there are still enough of
+them, and skips it otherwise; then it rebuilds the bodies it touched.
+The engine picks again only when the plateau is spent.  This is exact:
+after a replacement, the string the strategy would take next is the next
+one on the plateau that still has its count.  `_pick_repair`,
+`_pick_longest` and `_pick_greedy` prove this for their keys, and `_take`
+that its starts are the occurrences left.
 
 Sequential and Sequitur share one driver and Sequitur's three reductions
 (Nevill-Manning and Witten, JAIR 1997), applied to quiescence after each
@@ -67,10 +70,11 @@ suffix would already have been taken by the parse.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise, repeat, starmap
 
 from .core import SLG, GrammarError, _dyadic_split, _uses, expand_all
 from .symbols import Symbol, SymbolTable
@@ -260,9 +264,12 @@ def _levels(concat: list[int], groups, least: int):
         length += 1
 
 
-def _plateau(concat: list[int], starts, length: int) -> list[tuple[int, ...]]:
-    """The strings of `length` at `starts`, sorted by ids."""
-    return sorted(tuple(concat[p : p + length]) for p in starts)
+def _plateau(concat: list[int], groups, length: int,
+             want: int) -> list[tuple[list[int], int, int]]:
+    """The strings of `length` with the given lists of starts, sorted by
+    ids, each as (starts, length, want)."""
+    groups = sorted(groups, key=lambda ps: concat[ps[0] : ps[0] + length])
+    return [(starts, length, want) for starts in groups]
 
 
 def maximal_strings(g: SLG) -> set[tuple[Symbol, ...]]:
@@ -309,10 +316,12 @@ class GlobalStrategy(Enum):
     LONGEST_MATCH = "longest"
 
 
-# A pick returns None when no string repeats, and otherwise a plateau:
-# the strings tied at the strategy's key, sorted by ids, and the count each
-# must still have when `run_global` comes to it.
-Plateau = tuple[list[tuple[int, ...]], int]
+# A pick returns None when no string repeats, and otherwise a plateau: the
+# `_concat` sequence of the bodies it searched, and the strings to take in
+# order, each as (starts, length, want).  `starts` is every start of the
+# string in that sequence, overlapping ones included, and `want` the count
+# the string must still have when `_take` comes to it.
+Plateau = tuple[list[int], list[tuple[list[int], int, int]]]
 
 
 def _pick_repair(bodies: list[list[int]], bound: int | None) -> Plateau | None:
@@ -341,16 +350,29 @@ def _pick_repair(bodies: list[list[int]], bound: int | None) -> Plateau | None:
     groups = [grp for grp in groups if grp[1] == top]
     for length, groups in _levels(concat, groups, top):
         pass
-    return _plateau(concat, [ps[0] for ps, _ in groups], length), top
+    return concat, _plateau(concat, [ps for ps, _ in groups], length, top)
 
 
 def _pick_greedy(bodies: list[list[int]], bound: int | None) -> Plateau | None:
-    """The maximal string of largest f(L - 1) - L, on a plateau of its own:
-    once it is replaced, a string that holds its new nonterminal can
-    outscore the runner-up.  A string s that is not maximal has an
-    extension t with f(t) >= f(s), which scores at least f(s) - 1 > 0
-    more, so the largest score over all repeated strings is only reached
-    by maximal ones.
+    """The maximal string s of largest score f(L - 1) - L, then the
+    runner-up r when the walk can certify it: the second-best repeated
+    string by Greedy's full key (higher score, then shorter, then smaller
+    ids).  A string w that is not maximal has an extension t with
+    f(t) >= f(w), which scores at least f(w) - 1 > 0 more, so the largest
+    score over all repeated strings is only reached by maximal ones.
+
+    Once s, of length L, is replaced by R, r is the next pick if it kept
+    its count f(r), so `run_global` takes it with `want` = f(r).  A string
+    with k non-overlapping occurrences in s, and no R, keeps at most
+    f - k * (f(s) - 1) of its count f: the k * f(s) it had inside the
+    replaced occurrences of s go, and only the k in R's body come.  So no
+    string without R gains count, and one inside s loses count.  A string
+    t that holds R c times expands to a string t' of length
+    |t| + c(L - 1), so t' != s, with f(t') >= f(t).  Then
+    score(t') - score(t) >= (f(t) - 1) c (L - 1) > 0, and t scores below
+    t', which scores no more than r.  Every other string without R keeps a
+    key no better than before, below r's.  So r, if it kept its count, is
+    the one best string and the next pick.
 
     The level walk stops once no longer string can beat the best score.
     Let `total` be the number of ids in the bodies.  A string of length L
@@ -359,21 +381,31 @@ def _pick_greedy(bodies: list[list[int]], bound: int | None) -> Plateau | None:
     L * L >= total.  So when the next length n has n * n >= total and
     h(n) <= best, that is total * (n - 1) - n * n <= best * n, no string of
     length n or more scores above the best, and ties already go to the
-    shorter string."""
+    shorter string.  r is certified only when the walk ran out of strings
+    or h(n) <= score(r); otherwise the plateau is s alone."""
     concat = _concat(bodies)
     total = len(concat) - len(bodies)
-    best, pick = None, None
+    top: list = []  # the best two so far, as (-score, length, ids, starts, f)
     for length, groups in _levels(concat, _pair_groups(concat), 2):
-        top = max(f for _, f in groups)
-        gain = top * (length - 1) - length
-        if best is None or gain > best:
-            best = gain
-            tied = [ps[0] for ps, f in groups if f == top]
-            pick = _plateau(concat, tied, length)[:1], top
+        # Only the two largest counts of a level can place it in the top
+        # two, and a longer string must score more than the runner-up.
+        least = sorted({f for _, f in groups})[-2:][0]
+        if len(top) == 2:
+            least = max(least, (length - top[1][0]) // (length - 1) + 1)
+        new = [(length - f * (length - 1), length, concat[ps[0] : ps[0] + length], ps, f)
+               for ps, f in groups if f >= least]
+        if new:
+            top = sorted(top + new)[:2]
         nxt = length + 1
-        if nxt * nxt >= total and total * (nxt - 1) - nxt * nxt <= best * nxt:
-            break
-    return pick
+        if nxt * nxt >= total:
+            over = total * (nxt - 1) - nxt * nxt  # n * h(n) with n = nxt
+            if over <= -top[0][0] * nxt:
+                if over > -top[-1][0] * nxt:
+                    del top[1:]
+                break
+    if not top:
+        return None
+    return concat, [(ps, length, f) for _, length, _, ps, f in top]
 
 
 def _pick_longest(bodies: list[list[int]], bound: int | None) -> Plateau | None:
@@ -408,15 +440,15 @@ def _pick_longest(bodies: list[list[int]], bound: int | None) -> Plateau | None:
     arr = array("i", concat)
     packed, width = arr.tobytes(), arr.itemsize
 
-    def repeated(length: int) -> list[int]:
-        # First starts of the strings that pass.  A window holding one of
-        # the distinct separators occurs once, so it never passes.
+    def repeated(length: int) -> list[tuple[int, int]]:
+        # First and last starts of the strings that pass.  A window holding
+        # one of the distinct separators occurs once, so it never passes.
         k = len(concat) - length + 1
         span = width * length
         keys = [packed[a : a + span] for a in range(0, width * k, width)]
         first = dict(zip(reversed(keys), range(k - 1, -1, -1)))
         last = dict(zip(keys, range(k)))
-        return [p for key, p in first.items() if last[key] - p >= length]
+        return [(p, q) for key, p in first.items() if (q := last[key]) - p >= length]
 
     # Gallop from the start until the test flips, then bisect.  A string of
     # length lo passes and none of length hi does.
@@ -441,7 +473,19 @@ def _pick_longest(bodies: list[list[int]], bound: int | None) -> Plateau | None:
             hi = mid
     if best is None:
         return None
-    return _plateau(concat, best, lo), 2
+
+    def starts(p: int, q: int) -> list[int]:
+        # Every start of the string whose first and last starts are p and
+        # q: the aligned hits of its bytes from p to q.
+        key = packed[width * p : width * (p + lo)]
+        out, a = [], width * p
+        while a >= 0:
+            if a % width == 0:
+                out.append(a // width)
+            a = packed.find(key, a + 1, width * q + len(key))
+        return out
+
+    return concat, _plateau(concat, starmap(starts, best), lo, 2)
 
 
 _PICKS = {
@@ -452,30 +496,64 @@ _PICKS = {
 }
 
 
-def _take(heads: list[int], bodies: list[list[int]], s: Sequence[int], want: int,
-          table: SymbolTable) -> bool:
-    """One global step on the rules `zip(heads, bodies)`, in place, if `s`
-    has at least `want` greedy left-to-right non-overlapping occurrences in
-    the bodies: a new rule `R -> s` after replacing them all by `R`.  True
-    if it took `s`."""
-    s = list(s)
-    first, m = s[0], len(s)
-    hits = [(i, starts) for i, body in enumerate(bodies)
-            if first in body and (starts := list(_nonoverlapping(body, s)))]
-    if sum(len(starts) for _, starts in hits) < want:
-        return False
-    fresh = table.fresh_nonterminal("R").id
-    for i, starts in hits:
-        body, out, j = bodies[i], [], 0
+def _take(heads: list[int], bodies: list[list[int]], concat: list[int],
+          plateau: list[tuple[list[int], int, int]], table: SymbolTable,
+          ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Global steps on the rules `zip(heads, bodies)`, in place, for the
+    plateau's strings in order; `concat` is the `_concat` sequence of the
+    bodies.  A string's occurrences are its greedy left-to-right starts
+    whose span meets no span replaced before.  If there are at least
+    `want` of them, a new rule `R -> s` comes after replacing them all by
+    `R`; otherwise the string is skipped.  Returns the strings taken and
+    the strings skipped, as tuples of ids.
+
+    A plateau string s holds no new nonterminal, so after earlier takes its
+    occurrences outside the new rule bodies are exactly its starts that
+    meet no replaced span, and two of them overlap exactly when they did
+    before.  None lies in a new rule body: plateau strings of one length
+    are distinct, and Greedy's runner-up is taken only with its whole
+    count, which it keeps only when it does not occur in s."""
+    dead = bytearray(len(concat))
+    view = memoryview(dead)  # its slice assignment is the faster one
+    taken, skipped, spans = [], [], []
+    for k, (starts, length, want) in enumerate(plateau, 1):
+        s = concat[starts[0] : starts[0] + length]
+        # Each start that is no hit leaves one fewer: stop when too few are
+        # left.  Nothing is dead before the first take.
+        hits, end, spare = [], 0, len(starts) - want
         for p in starts:
-            out += body[j:p]
+            if p >= end and not (spans and dead.find(1, p, p + length) >= 0):
+                hits.append(p)
+                end = p + length
+            elif (spare := spare - 1) < 0:
+                break
+        if len(hits) < want:
+            skipped.append(tuple(s))
+            continue
+        fresh = table.fresh_nonterminal("R").id
+        spans += zip(hits, repeat(length), repeat(fresh))
+        taken.append((fresh, s))
+        if k < len(plateau):  # only later strings read the marks
+            mark = b"\1" * length
+            for p in hits:
+                view[p : p + length] = mark
+    # Rebuild only the bodies that hold a replaced span.
+    offsets = list(accumulate((len(body) + 1 for body in bodies), initial=0))
+    touched: dict[int, list[tuple[int, int, int]]] = {}
+    for span in sorted(spans):
+        touched.setdefault(bisect_right(offsets, span[0]) - 1, []).append(span)
+    for i, reps in touched.items():
+        out, j = [], offsets[i]
+        for p, length, fresh in reps:
+            out += concat[j:p]
             out.append(fresh)
-            j = p + m
-        out += body[j:]
+            j = p + length
+        out += concat[j : offsets[i + 1] - 1]
         bodies[i] = out
-    heads.append(fresh)
-    bodies.append(s)
-    return True
+    for fresh, s in taken:
+        heads.append(fresh)
+        bodies.append(s)
+    return [tuple(s) for _, s in taken], skipped
 
 
 def global_step(g: SLG, s) -> SLG:
@@ -485,25 +563,26 @@ def global_step(g: SLG, s) -> SLG:
     if s is None or len(s) < 2 or s not in maximal_strings(g):
         raise CompressorError("not a maximal string")
     heads, bodies = [head.id for head in g.rules], _rule_id_seqs(g)
+    concat, s, m = _concat(bodies), [sym.id for sym in s], len(s)
+    starts = [p for p in range(len(concat) - m + 1) if concat[p : p + m] == s]
     # A maximal string has at least two occurrences.
-    _take(heads, bodies, [sym.id for sym in s], 2, g.table)
+    _take(heads, bodies, concat, [(starts, m, 2)], g.table)
     return _slg(dict(zip(heads, bodies)), g.start.id, g.table)
 
 
 def run_global(u, strategy: GlobalStrategy, table: SymbolTable) -> SLG:
     """Iterate maximal-string replacement from the single-rule grammar,
-    taking each pick's plateau in order and picking again once it is
+    taking each pick's plateau in one `_take` and picking again once it is
     spent."""
     pick = _PICKS[strategy]
     bodies = [list(_input_ids(u, table))]
     heads = [table.fresh_nonterminal("S").id]
     bound = None
     while (plateau := pick(bodies, bound)) is not None:
-        strings, want = plateau
-        for s in strings:
-            _take(heads, bodies, s, want, table)
+        concat, strings = plateau
+        _take(heads, bodies, concat, strings, table)
         # Only LongestMatch reads it: no string of the spent length repeats.
-        bound = len(strings[0]) - 1
+        bound = strings[0][1] - 1
     return _slg(dict(zip(heads, bodies)), heads[0], table)
 
 

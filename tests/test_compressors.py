@@ -41,6 +41,7 @@ from slglab.generate import random_admissible_slg, random_matched_alphabet, rand
 from slglab.symbols import SymbolTable
 
 from conftest import (
+    _reference_replace,
     brute_dyadic_distinct,
     brute_maximal_strings,
     greedy_count_in_bodies,
@@ -162,6 +163,11 @@ def test_global_step_examples(table):
     assert out.size == 6 and expand_text(out) == "abababa"
     out = global_step(_single_rule(table, "aaaaa"), "aa")
     assert out.size == 5 and expand_text(out) == "aaaaa"
+    # Occurrences that overlap: only the greedy left-to-right ones go.
+    out = global_step(_single_rule(SymbolTable(), "aaaaaaa"), "aaa")
+    assert serialize(out) == "W1 -> R1 R1 a\nR1 -> a a a\n"
+    out = global_step(_single_rule(SymbolTable(), "abcabcabca"), "abca")
+    assert serialize(out) == "W1 -> R1 b c R1\nR1 -> a b c a\n"
     with pytest.raises(CompressorError, match="not a maximal string"):
         global_step(g, "a")
     with pytest.raises(CompressorError, match="not a maximal string"):
@@ -267,10 +273,10 @@ def test_run_global_is_a_sequence_of_global_steps(monkeypatch, strategy):
     taken = []
     take = compressors._take
 
-    def recording(heads, bodies, s, want, table):
-        if took := take(heads, bodies, s, want, table):
-            taken.append(tuple(s))
-        return took
+    def recording(*args):
+        took, skipped = take(*args)
+        taken.extend(took)
+        return took, skipped
 
     monkeypatch.setattr(compressors, "_take", recording)
     for make in _law_texts():
@@ -370,22 +376,161 @@ _SKIP_TEXTS = ("ababa", "acbcbcac", "aabaabaa", "cabcabca")
 @pytest.mark.parametrize("strategy", [GlobalStrategy.REPAIR, GlobalStrategy.LONGEST_MATCH],
                          ids=["repair", "longest"])
 def test_plateau_skips_strings_an_earlier_one_spent(monkeypatch, strategy):
-    skipped = []
+    taken, skipped = [], []
     take = compressors._take
 
-    def counting(heads, bodies, s, want, table):
-        if not (took := take(heads, bodies, s, want, table)):
-            skipped.append(s)
-        return took
+    def counting(*args):
+        took, passed = take(*args)
+        taken.extend(took)
+        skipped.extend(passed)
+        return took, passed
 
     monkeypatch.setattr(compressors, "_take", counting)
     for text in _SKIP_TEXTS:
+        taken.clear()
         skipped.clear()
         t1, t2 = SymbolTable(), SymbolTable()
         got = run_global(text, strategy, t1)
-        assert skipped, text
+        assert taken and skipped, text
         assert serialize(got) == serialize(run_global_reference(text, strategy, t2)), text
         assert interned(t1) == interned(t2), text
+
+
+def _greedy_ranking(bodies):
+    """Every repeated string of the bodies as (ids, f), by Greedy's full key:
+    higher score f(L - 1) - L, then shorter, then smaller ids."""
+    counts = {}
+    for body in bodies:
+        for i in range(len(body) - 1):
+            for j in range(i + 2, len(body) + 1):
+                s = tuple(body[i:j])
+                if s not in counts:
+                    counts[s] = greedy_count_in_bodies(bodies, s)
+    return sorted(((s, f) for s, f in counts.items() if f >= 2),
+                  key=lambda sf: (len(sf[0]) - sf[1] * (len(sf[0]) - 1), len(sf[0]), sf[0]))
+
+
+def _greedy_next_pick(bodies):
+    """The maximal string of best key: the string Greedy takes next."""
+    ranked = _greedy_ranking(bodies)
+    for s, f in ranked:
+        if not any(len(t) > len(s) and g >= f for t, g in ranked):
+            return s
+    return None
+
+
+def test_greedy_runner_up_that_keeps_its_count_is_the_next_pick():
+    """Once Greedy's best string is replaced, a runner-up that kept its count
+    is the next pick.  Checked in every round of every binary text up to
+    length 10 and of seeded ternary texts, with the ranking above."""
+    rng = random.Random(89)
+    texts = [u for n in range(2, 11) for u in itertools.product((0, 1), repeat=n)]
+    texts += [tuple(rng.randrange(3) for _ in range(rng.randint(3, 24))) for _ in range(600)]
+    kept = fell = 0
+    for u in texts:
+        bodies, fresh = [list(u)], 3
+        while ranked := _greedy_ranking(bodies):
+            s = _greedy_next_pick(bodies)
+            assert s == ranked[0][0], u  # the best repeated string is maximal
+            bodies = [_reference_replace(b, s, fresh) for b in bodies] + [list(s)]
+            fresh += 1
+            if len(ranked) > 1:
+                r, f = ranked[1]
+                if greedy_count_in_bodies(bodies, r) == f:
+                    kept += 1
+                    assert _greedy_next_pick(bodies) == r, u
+                else:
+                    fell += 1
+    assert kept and fell
+
+
+# Texts on which Greedy's runner-up is taken with its best string, skipped
+# because its count fell, or left to the next pick because the walk stopped
+# at a bound above the runner-up's score.  Found by a seeded search over
+# short texts.
+_RUNNER_UP_TEXTS = {"taken": "aaababaa", "skipped": "ababa", "uncertified": "baabaa"}
+
+
+@pytest.mark.parametrize("case", list(_RUNNER_UP_TEXTS))
+def test_greedy_takes_certified_runner_up(monkeypatch, case):
+    seen = []
+    pick, take = compressors._PICKS[GlobalStrategy.GREEDY], compressors._take
+
+    def picking(bodies, bound):
+        plateau = pick(bodies, bound)
+        if plateau and len(plateau[1]) == 1 and len(_greedy_ranking(bodies)) > 1:
+            seen.append("uncertified")
+        return plateau
+
+    def taking(heads, bodies, concat, plateau, table):
+        took, skipped = take(heads, bodies, concat, plateau, table)
+        if len(plateau) == 2:
+            seen.append("skipped" if skipped else "taken")
+        return took, skipped
+
+    monkeypatch.setitem(compressors._PICKS, GlobalStrategy.GREEDY, picking)
+    monkeypatch.setattr(compressors, "_take", taking)
+    text = _RUNNER_UP_TEXTS[case]
+    t1, t2 = SymbolTable(), SymbolTable()
+    got = run_global(text, GlobalStrategy.GREEDY, t1)
+    assert case in seen
+    assert serialize(got) == serialize(
+        run_global_reference(text, GlobalStrategy.GREEDY, t2))
+    assert interned(t1) == interned(t2)
+
+
+def test_greedy_pick_counts_are_pinned(monkeypatch):
+    """Greedy's picks on the three texts, the last finding nothing; one
+    string per pick took 51, 116 and 9."""
+    calls = []
+    pick = compressors._PICKS[GlobalStrategy.GREEDY]
+
+    def counting(bodies, bound):
+        calls.append(bound)
+        return pick(bodies, bound)
+
+    monkeypatch.setitem(compressors._PICKS, GlobalStrategy.GREEDY, counting)
+    counts = []
+    for text in _benchmark_texts():
+        calls.clear()
+        greedy(text, SymbolTable())
+        counts.append(len(calls))
+    assert counts == [33, 62, 7]
+
+
+@pytest.mark.parametrize("strategy", list(GlobalStrategy), ids=lambda s: s.name.lower())
+def test_run_global_takes_each_plateau_in_one_call(monkeypatch, strategy):
+    """One `_take` call per plateau a pick returns, and no body scanned by
+    `_nonoverlapping`; `global_step` takes through `_take` too."""
+    plateaus, takes = [], []
+    pick, take = compressors._PICKS[strategy], compressors._take
+
+    def picking(bodies, bound):
+        plateaus.append(pick(bodies, bound))
+        return plateaus[-1]
+
+    def taking(heads, bodies, concat, plateau, table):
+        takes.append(plateau)
+        return take(heads, bodies, concat, plateau, table)
+
+    def scanning(body, s):
+        raise AssertionError("a body was scanned by _nonoverlapping")
+
+    monkeypatch.setitem(compressors._PICKS, strategy, picking)
+    monkeypatch.setattr(compressors, "_take", taking)
+    monkeypatch.setattr(compressors, "_nonoverlapping", scanning)
+    for make in _law_texts():
+        plateaus.clear()
+        takes.clear()
+        t = SymbolTable()
+        run_global(make(t), strategy, t)
+        assert plateaus[-1] is None
+        assert len(takes) == len(plateaus) - 1
+        assert all(p[1] is q for p, q in zip(plateaus, takes))
+    takes.clear()
+    table = SymbolTable()
+    global_step(_single_rule(table, "abababa"), "aba")
+    assert len(takes) == 1
 
 
 @pytest.mark.parametrize("compress, digest", [
