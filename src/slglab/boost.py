@@ -249,13 +249,16 @@ def beta(g: SLG) -> BetaBoost:
     table = g.table
     exps = _interleaved(g, order, paired=True)
     terms = g.terminals()
+    # By id: within one table the id alone names a symbol, and hashing a
+    # Symbol hashes all three of its fields.
+    term_ids = {t.id for t in terms}
     w: list[Symbol] = []
     position_map: dict[int, tuple[int, ...]] = {}
     for i, n in enumerate(order, start=1):
         e = exps[n]
         # exp(N_i)[j] sits at the j-th of the input's own terminals in the
         # first copy of its block: the sentinels around them are fresh.
-        position_map[i] = tuple(len(w) + p for p, s in enumerate(e, start=1) if s in terms)
+        position_map[i] = tuple(len(w) + p for p, s in enumerate(e, start=1) if s.id in term_ids)
         w += e
         w += e
     sigma = tuple(sorted(terms, key=lambda s: s.id)) + tuple(

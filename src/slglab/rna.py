@@ -9,12 +9,15 @@ drops the partners that two exact dominance rules show can win no column
 partners fill more than one gather block.  The table is the narrowest of
 uint16, int32 and int64 that holds `B`, half the total weight of the
 positions, and an input whose `B` none of them holds is refused: that is
-the one weight rule.  The traceback tests all the partners of a symbol inside an
-interval with one numpy comparison.  Both read one array of positions per
-symbol.  Inputs beyond a configurable length cap are refused.
+the one weight rule.  The traceback finds the partners of a symbol inside an
+interval by bisection and tests them together in numpy.  Both read, per
+symbol, its positions as a list and the arrays of the positions plus one
+and minus one, built once per input, so no row or interval allocates them.
+Inputs beyond a configurable length cap are refused.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,23 +161,33 @@ class FoldResult:
 
 
 def _encode(u, alphabet: MatchedAlphabet):
-    """The codes of `u`, the partner code and weight of each code, and the
-    increasing positions of each code in `u`, one array per code (views of
-    one sorted array)."""
+    """The codes of `u`, the partner code and weight of each code, and per
+    code its increasing positions in `u`: as a list, as an array, and as
+    the arrays `positions + 1` and `positions - 1` (views of three arrays
+    sorted by code, so built once per table)."""
     codes = {}
     for s in alphabet.symbols:
         codes.setdefault(s, len(codes))
+    # A symbol is looked up by id, and by value (hashing all three fields)
+    # only when it is not the very symbol that has the code of its id.
+    symbol_of = list(codes)
+    by_id = {s.id: c for c, s in enumerate(symbol_of)}
     seq = []
     for s in u:
-        if s not in codes:
-            raise RnaError(f"symbol {s.display} outside the matched alphabet")
-        seq.append(codes[s])
+        c = by_id.get(s.id)
+        if c is None or symbol_of[c] is not s:
+            c = codes.get(s)
+            if c is None:
+                raise RnaError(f"symbol {s.display} outside the matched alphabet")
+        seq.append(c)
     match_of = [codes[alphabet.match[s]] for s in codes]
     w_of = [alphabet.weight[s] for s in codes]
     coded = np.asarray(seq, dtype=np.intp)
     order = np.argsort(coded, kind="stable")
     ends = np.cumsum(np.bincount(coded, minlength=len(codes))).tolist()
-    return seq, match_of, w_of, [order[a:b] for a, b in zip([0, *ends], ends)]
+    flat, plus, minus = order.tolist(), order + 1, order - 1
+    return seq, match_of, w_of, [(flat[a:b], order[a:b], plus[a:b], minus[a:b])
+                                 for a, b in zip([0, *ends], ends)]
 
 
 # Cells of one partner block gathered at once; bounds the scratch memory of
@@ -198,11 +211,15 @@ def _wrna_table(seq, match_of, w_of, positions):
     constants are computed in the table's dtype, so no result depends on
     numpy's promotion rules.
 
-    Rows are filled from `n-1` down to `0`.  Row `i` starts as row `i+1`
-    (position `i` left unpaired).  Then one gathered max over the
-    occurrences `K` of `match(seq[i])` after `i` raises the columns
-    `j >= K[0]` to `w + dp[i+1, k-1] + dp[k+1, j]`, the best over `k` in
-    `K`, in blocks of at most `_GATHER_CELLS` cells.
+    Rows are filled from `n-1` down to `0`.  Row `i` is row `i+1`
+    (position `i` left unpaired), with the columns `j >= K[0]` raised by
+    one gathered max over the occurrences `K` of `match(seq[i])` after `i`
+    to `w + dp[i+1, k-1] + dp[k+1, j]`, the best over `k` in `K`, in
+    blocks of at most `_GATHER_CELLS` cells.  The cells `dp[i+1, k-1]` and
+    the rows `k+1` are read through the per-code arrays `positions - 1` and
+    `positions + 1` (see `_encode`), sliced from the first partner after
+    `i`.  A row under one block copies the columns `j < K[0]` of row `i+1`
+    and writes the others as the larger of row `i+1` and the gathered max.
 
     A row whose partners fill more than one block first drops each partner
     that wins no column.  Let `c_k = w + dp[i+1, k-1]`, and `k' < k` be
@@ -213,7 +230,10 @@ def _wrna_table(seq, match_of, w_of, positions):
     the candidate of `k'`, itself kept or dropped by the same argument: so
     the row, and every witness read from the table, is unchanged.  Each sum
     is the value of a folding of `seq[i..k]`, so it fits the table's dtype
-    as the constants do.  Rows under one block are not pruned: on the short
+    as the constants do.  The chain rule reads the cells `dp[k'+1, k]` of
+    consecutive positions of one code, which every row above `k'` reads
+    alike, through their flat indices, made once per code on its first
+    pruned row.  Rows under one block are not pruned: on the short
     strings of the verify suites the extra numpy calls per row cost more
     than the cells they save.
 
@@ -243,25 +263,27 @@ def _wrna_table(seq, match_of, w_of, positions):
         signed[r, : r - 1] = -top
     cols = np.arange(n + 1)
 
-    def gather(table, row, block, const, masked):
-        """Raise `row[k0:n]` to the best candidate of the partners in
-        `block`, `k0` the first; `masked` zeroes the cells `j < k`."""
-        k0 = int(block[0])
-        cand = table[block + 1, k0:n]
+    def best(table, k0, plus, const, masked):
+        """The best candidate `const + dp[k+1, j]` in each column `j >= k0`
+        over the partners `k` of `plus = k + 1`, `k0` the first; `masked`
+        zeroes the cells `j < k`."""
+        cand = table[plus, k0:n]
         cand += const[:, None]
         if masked:
-            span = int(block[-1]) - k0
-            cand[:, :span] *= cols[:span] >= (block - k0)[:, None]
-        tail = row[k0:n]
-        np.maximum(tail, cand.max(axis=0), out=tail)
+            span = int(plus[-1]) - 1 - k0
+            cand[:, :span] *= cols[:span] >= (plus - (k0 + 1))[:, None]
+        return cand.max(axis=0)
 
     # after[c]: the occurrences of code c after the current row
     after = [0] * len(match_of)
     # the rows below `unsigned_to` are built unsigned; 0 while none is
     unsigned_to = 0
+    # chain[c]: the flat indices of the cells dp[k'+1, k] of the consecutive
+    # positions k' < k of code c, made on its first pruned row
+    chain = [None] * len(match_of)
     for i in range(n - 1, -1, -1):
         c = match_of[seq[i]]
-        ks = positions[c]
+        ks, pos, plus, minus = positions[c]
         t = len(ks) - after[c]
         after[seq[i]] += 1
         w = w_of[seq[i]]
@@ -269,26 +291,33 @@ def _wrna_table(seq, match_of, w_of, positions):
             unsigned_to = i + 1
         table = dp if unsigned_to else signed
         row, below = table[i], table[i + 1]
-        row[i:n] = below[i:n]
         if t == len(ks):
+            row[i:n] = below[i:n]
             continue
-        ks = ks[t:]
+        k0 = ks[t]
         # In place, so in the table's dtype; w <= B, as i has a partner,
         # and a signed row has w <= top.
-        const = below[ks - 1]
+        const = below[minus[t:]]
         const += w
-        if len(ks) * (n - int(ks[0])) <= _GATHER_CELLS:
-            gather(table, row, ks, const, unsigned_to)
+        if (len(ks) - t) * (n - k0) <= _GATHER_CELLS:
+            row[i:k0] = below[i:k0]
+            np.maximum(below[k0:n], best(table, k0, plus[t:], const, unsigned_to), out=row[k0:n])
             continue
+        row[i:n] = below[i:n]
         # Each sum is a folding of seq[i..k]: at most B, and at most top in
         # a signed row.
-        keep = const > below[ks]
-        keep[1:] &= const[1:] > const[:-1] + table[ks[:-1] + 1, ks[1:]]
-        ks, const = ks[keep], const[keep]
+        keep = const > below[pos[t:]]
+        if chain[c] is None:
+            chain[c] = plus[:-1] * (n + 1) + pos[1:]
+        keep[1:] &= const[1:] > const[:-1] + table.reshape(-1)[chain[c][t:]]
+        plus, const = plus[t:][keep], const[keep]
         t = 0
-        while t < len(ks):
-            size = max(1, _GATHER_CELLS // (n - int(ks[t])))
-            gather(table, row, ks[t : t + size], const[t : t + size], unsigned_to)
+        while t < len(plus):
+            k0 = int(plus[t]) - 1
+            size = max(1, _GATHER_CELLS // (n - k0))
+            tail = row[k0:n]
+            np.maximum(tail, best(table, k0, plus[t : t + size], const[t : t + size], unsigned_to),
+                       out=tail)
             t += size
     np.maximum(signed[unsigned_to:], 0, out=signed[unsigned_to:])
     for r in range(2, unsigned_to):
@@ -307,8 +336,9 @@ def wrna(
     With `want_pairs`, the witness is traced back through the table: an
     interval `[i, j]` whose value differs from `[i+1, j]` pairs `i` with the
     first partner `k` in `(i, j]`, in increasing order, whose split
-    reproduces the value.  The partners of `u[i]` in `(i, j]` are tested
-    with one numpy comparison.
+    reproduces the value.  Two bisections of the partners' position list
+    bound those in `(i, j]`, and the same slice of the views `k - 1` and
+    `k + 1` tests them all in numpy.
 
     Refuses, in this order, an input longer than `length_cap`, a symbol
     outside the alphabet, and a bound `B` (half the total weight of `u`)
@@ -334,14 +364,16 @@ def wrna(
         if best == at(i + 1, j):
             stack.append((i + 1, j))
             continue
-        ks = positions[match_of[seq[i]]]
-        lo, hi = ks.searchsorted((i, j), "right")
-        ks = ks[lo:hi]
+        ks, _, plus, minus = positions[match_of[seq[i]]]
+        lo = bisect_right(ks, i)
+        hi = bisect_right(ks, j, lo)
         # Two disjoint intervals fold to at most B together: no overflow.
-        hits = (dp[i + 1][ks - 1] + dp[ks + 1, j] == best - w_of[seq[i]]).nonzero()[0]
+        # A row and a column, each indexed in one dimension: cheaper than a
+        # gather by a pair of indices.
+        hits = (dp[i + 1][minus[lo:hi]] + dp[:, j][plus[lo:hi]] == best - w_of[seq[i]]).nonzero()[0]
         if not hits.size:
             raise RuntimeError(f"folding traceback found no partner for position {i + 1}")
-        k = int(ks[hits[0]])
+        k = ks[lo + int(hits[0])]
         pairs.append((i + 1, k + 1))
         stack.append((i + 1, k - 1))
         stack.append((k + 1, j))

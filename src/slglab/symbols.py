@@ -3,7 +3,9 @@
 Every grammar value refers to symbols interned in one SymbolTable.  Ids are
 dense small integers for ordinary symbols; the sentinel families used by the
 boosting constructions live in reserved id ranges so that symbols produced by
-independent constructions never collide.  Every ordinary symbol, a fresh
+independent constructions never collide; each family carries its display
+prefix and the base id of its range as plain attributes, so minting a
+sentinel reads no property of the enum value.  Every ordinary symbol, a fresh
 nonterminal included, is minted on one path, `SymbolTable._intern`, which
 refuses an empty display, one holding whitespace and a sentinel's display
 as a nonterminal.
@@ -22,7 +24,9 @@ _FAMILY_SPAN = 1_000_000
 
 
 class SentinelFamily(Enum):
-    """Terminal families with a rendered prefix and an integer index."""
+    """Terminal families with a rendered prefix and an integer index.  The
+    index `i` of a family is displayed `prefix + str(i)` and has the id
+    `base_id + i`."""
 
     DOLLAR = (0, "$_")
     DOLLAR_PRIME = (1, "$'_")
@@ -33,15 +37,15 @@ class SentinelFamily(Enum):
     HASH_PRIME_L = (6, "#'L_")
     HASH_PRIME_R = (7, "#'R_")
 
-    @property
-    def prefix(self) -> str:
-        return self.value[1]
+    def __init__(self, number: int, prefix: str) -> None:
+        self.prefix = prefix
+        self.base_id = _SENTINEL_BASE + number * _FAMILY_SPAN
 
     def display(self, index: int) -> str:
         return f"{self.prefix}{index}"
 
     def reserved_id(self, index: int) -> int:
-        return _SENTINEL_BASE + self.value[0] * _FAMILY_SPAN + index
+        return self.base_id + index
 
 
 _PREFIX_TO_FAMILY = {fam.prefix: fam for fam in SentinelFamily}

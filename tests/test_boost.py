@@ -311,6 +311,31 @@ def test_beta_per_nonterminal_lengths():
         assert offset == len(r.text)
 
 
+def test_beta_position_map_reads_every_expansion():
+    """`position_map[i]` reads `exp(ordering[i - 1])` out of the text, for
+    every index, on seeded grammars; in every other grammar two terminals
+    are renamed to displays that share a sentinel family's prefix without
+    naming one of its sentinels (beta refuses only its own family's)."""
+    lookalikes = [x for x in _SENTINEL_LOOKALIKES if parse_sentinel_display(x) is None
+                  and not x.startswith(SentinelFamily.DOLLAR.prefix)]
+    rng = random.Random(73)
+    renamed = 0
+    for trial in range(30):
+        t = SymbolTable()
+        g = random_admissible_slg(rng, rng.randint(1, 12), 3, 240, t)
+        if trial % 2:
+            old = sorted(g.terminals(), key=lambda s: s.id)[:2]
+            rename = dict(zip(old, (t.terminal(x) for x in rng.sample(lookalikes, 2))))
+            g = SLG({h: tuple(rename.get(s, s) for s in body) for h, body in g.rules.items()},
+                    g.start, t)
+            renamed += bool(set(rename.values()) & g.terminals())
+        r = beta(g)
+        assert sorted(r.position_map) == list(range(1, len(r.ordering) + 1))
+        for i, n in enumerate(r.ordering, start=1):
+            assert tuple(r.text[p - 1] for p in r.position_map[i]) == expand(g, n)
+    assert renamed == 15
+
+
 # -- folding boosters -----------------------------------------------------------
 
 

@@ -62,6 +62,15 @@ def test_wrna_rejects_foreign_symbols(table):
         wrna(_s(table, "az"), al)
 
 
+def test_wrna_reads_symbols_of_another_table_by_value():
+    """A symbol of another table belongs to the alphabet when it equals one
+    of its symbols, and not when only its id agrees with one."""
+    al = _pairs(SymbolTable(), [("a", "A", 1)])
+    assert wrna(SymbolTable().chars("aA"), al, want_pairs=True) == FoldResult(1, ((1, 2),))
+    with pytest.raises(RnaError, match="^symbol z outside the matched alphabet$"):
+        wrna(SymbolTable().chars("zA"), al)
+
+
 def test_wrna_length_cap(table):
     al = _pairs(table, [("a", "A", 1)])
     with pytest.raises(RnaError, match="exceeds the cap"):
@@ -374,6 +383,45 @@ def test_wrna_table_width_at_the_16_bit_bounds(table, text, wa, wb, width, value
     assert dp.dtype.name == width and dp.tolist() == ref.tolist()
     res = wrna(u, al, want_pairs=True)
     assert (res.value, res.pairs) == (ref_value, ref_pairs) and res.value == value
+
+
+# (text, witness): which partners of position i the traceback's two
+# bisections keep in an interval [i, j] (positions 0-based).
+_BISECT_CASES = [
+    ("abBA", ((1, 4), (2, 3))),  # the partner of row 0 sits exactly at j = 3
+    ("aAbB", ((1, 2), (3, 4))),  # row 0's only partner sits at i + 1
+    # partners 1 and 4 of row 0 both reproduce the value: the smaller wins
+    ("aAbBA", ((1, 2), (3, 4))),
+    ("aaAA", ((1, 4), (2, 3))),  # in [1, 2], partner 3 is past j
+    ("AaA", ((2, 3),)),  # in [1, 2], partner 0 is before i
+]
+# Weights of a and b per width; a uint16 table whose value passes 2**15 - 1
+# builds its top rows unsigned.
+_BISECT_WEIGHTS = {
+    "uint16": {"abBA": (1, 1), "aAbB": (1, 1), "aAbBA": (1, 1), "aaAA": (1, 1), "AaA": (1, 1)},
+    "uint16 with unsigned rows": {"abBA": (20000, 20000), "aAbB": (20000, 20000),
+                                  "aAbBA": (17000, 17000), "aaAA": (20000, 1),
+                                  "AaA": (40000, 1)},
+    "int32": dict.fromkeys(("abBA", "aAbB", "aAbBA", "aaAA", "AaA"), (100_000, 100_000)),
+    "int64": dict.fromkeys(("abBA", "aAbB", "aAbBA", "aaAA", "AaA"), (2**40, 2**40)),
+}
+
+
+@pytest.mark.parametrize("width", list(_BISECT_WEIGHTS))
+@pytest.mark.parametrize("text, pairs", _BISECT_CASES)
+def test_traceback_bisect_bounds(table, text, pairs, width):
+    """The traceback keeps a partner at `i + 1` and one at `j`, drops those
+    outside `(i, j]`, and of two partners that reproduce the value takes
+    the smaller, on each table width; as the per-pair kernel does."""
+    wa, wb = _BISECT_WEIGHTS[width][text]
+    al = _pairs(table, [("a", "A", wa), ("b", "B", wb)])
+    u = _s(table, text)
+    ref, ref_value, ref_pairs = wrna_reference(u, al)
+    res = wrna(u, al, want_pairs=True)
+    assert (res.value, res.pairs) == (ref_value, ref_pairs)
+    assert res.pairs == pairs and res.value == sum(al.weight[u[i - 1]] for i, _ in pairs)
+    dtype = _width(al, u)
+    assert dtype + " with unsigned rows" * (dtype == "uint16" and res.value >= 2**15) == width
 
 
 def test_traceback_refuses_a_table_no_partner_explains(table, monkeypatch):

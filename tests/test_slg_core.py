@@ -366,6 +366,31 @@ def test_only_canonical_sentinel_displays_name_sentinels(table):
         assert parse_sentinel_display(f"{fam.prefix}01") is None
 
 
+_FAMILIES = [
+    (SentinelFamily.DOLLAR, "$_", 1_000_000_001),
+    (SentinelFamily.DOLLAR_PRIME, "$'_", 1_001_000_001),
+    (SentinelFamily.HASH, "#_", 1_002_000_001),
+    (SentinelFamily.HASH_PRIME, "#'_", 1_003_000_001),
+    (SentinelFamily.HASH_L, "#L_", 1_004_000_001),
+    (SentinelFamily.HASH_R, "#R_", 1_005_000_001),
+    (SentinelFamily.HASH_PRIME_L, "#'L_", 1_006_000_001),
+    (SentinelFamily.HASH_PRIME_R, "#'R_", 1_007_000_001),
+]
+
+
+@pytest.mark.parametrize("fam, prefix, first_id", _FAMILIES)
+def test_sentinel_families_are_pinned(table, fam, prefix, first_id):
+    """Each family's prefix, displays and first reserved id, and the
+    family and index read back from each display.  Every family is listed."""
+    assert [f for f, _, _ in _FAMILIES] == list(SentinelFamily)
+    assert fam.prefix == prefix
+    assert (fam.display(1), fam.display(999_999)) == (f"{prefix}1", f"{prefix}999999")
+    assert fam.reserved_id(1) == first_id
+    for i in (1, 999_999):
+        assert parse_sentinel_display(fam.display(i)) == (fam, i)
+    assert table.sentinel(fam, 1).id == first_id
+
+
 def test_parse_errors(table):
     with pytest.raises(GrammarParseError, match="line 2.*duplicate"):
         deserialize("A -> a\nA -> b\n", table)
